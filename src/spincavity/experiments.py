@@ -36,18 +36,44 @@ MAP_LINEWIDTH_MHZ = 2.5
 DEFAULT_TRANSITION_WEIGHT = 0.5  # idealized two-level drive matrix element
 
 
-def resonator_mode(omega_r=OMEGA_R_MHZ, q_int=Q_INT, q_ext=Q_EXT_MIN):
-    """Cavity decay rates from the loaded-Q decomposition, two equal ports."""
-    kappa_int = omega_r / q_int
-    kappa_port = omega_r / (2.0 * q_ext)  # each port carries half the external loss
-    return cavity_qed.ResonatorMode(omega_r, kappa_int, kappa_port, kappa_port)
+# level pairs (lo, hi) of each defect's cavity-tuned lines, indexed by ascending
+# energy at the start of a sweep: NV lowest to highest; P1 (k, 5 - k) conserves
+# the nuclear projection, m_I = +1, 0, -1 in that order
+LINE_PAIRS = {"nv": ((0, 8),), "p1": ((0, 5), (1, 4), (2, 3))}
+
+
+def resonator_mode(
+    omega_r=OMEGA_R_MHZ, q_int=Q_INT, q_ext1=2.0 * Q_EXT_MIN, q_ext2=2.0 * Q_EXT_MIN
+):
+    """Cavity decay rates from the internal and per-port external quality factors.
+
+    The default ports each carry half of the combined external loss Q_EXT_MIN.
+    """
+    return cavity_qed.ResonatorMode(omega_r, omega_r / q_int, omega_r / q_ext1, omega_r / q_ext2)
+
+
+def spin_line_map(defect, direction, axis, b_grid, omega_grid, res, linewidth, g_ens, lines=None):
+    """Transmission map of the cavity dressed by the defect's spin lines.
+
+    Line frequencies are differences of the levels tracked along the sweep,
+    for the pairs of LINE_PAIRS[defect] selected by index in `lines` (all by
+    default).  Each field point keeps the table order of its lines, the
+    order in which s21_spectrum sums them.
+    """
+    pairs = LINE_PAIRS[defect.lower()]
+    if lines is not None:
+        pairs = [pairs[j] for j in lines]
+    e = spin_models.level_curve(defect.lower(), direction, axis, b_grid).energies
+    freqs = [np.abs(e[:, hi] - e[:, lo]) for lo, hi in pairs]
+    curves = [[cavity_qed.SpinLine(f, linewidth, g_ens) for f in row] for row in zip(*freqs)]
+    return cavity_qed.s21_map(b_grid, omega_grid, res, curves)
 
 
 def nv_transition_frequency(b_mt):
     """Lowest-to-highest NV transition for B along [110], non-orthogonal bonds."""
-    h = spin_models.build_nv_hamiltonian(b_mt * B110, AXIS_111)
-    vals = np.linalg.eigvalsh(h)
-    return float(vals[-1] - vals[0])
+    vals = np.linalg.eigvalsh(spin_models.build_nv_hamiltonian(b_mt * B110, AXIS_111))
+    lo, hi = LINE_PAIRS["nv"][0]
+    return float(vals[hi] - vals[lo])
 
 
 def nv_crossing(omega_r=OMEGA_R_MHZ, bracket=(40.0, 110.0)):
@@ -75,10 +101,7 @@ def nv_anticrossing_map(
     omega_grid = np.linspace(
         res.omega_r - omega_halfwidth, res.omega_r + omega_halfwidth, omega_points
     )
-    curves = spin_models.level_curve("nv", B110, AXIS_111, b_grid)
-    freqs = curves.energies[:, -1] - curves.energies[:, 0]
-    lines = [[cavity_qed.SpinLine(f, linewidth, g_ens)] for f in freqs]
-    return cavity_qed.s21_map(b_grid, omega_grid, res, lines)
+    return spin_line_map("nv", B110, AXIS_111, b_grid, omega_grid, res, linewidth, g_ens)
 
 
 def p1_transition_frequency(b_mt, line_index):
@@ -90,9 +113,9 @@ def p1_transition_frequency(b_mt, line_index):
     """
     if line_index not in (0, 1, 2):
         raise ValueError("line_index must be 0, 1 or 2")
-    h = spin_models.build_p1_hamiltonian(b_mt * B001, AXIS_111)
-    vals = np.linalg.eigvalsh(h)
-    return float(vals[5 - line_index] - vals[line_index])
+    vals = np.linalg.eigvalsh(spin_models.build_p1_hamiltonian(b_mt * B001, AXIS_111))
+    lo, hi = LINE_PAIRS["p1"][line_index]
+    return float(vals[hi] - vals[lo])
 
 
 def p1_crossings(omega_r=OMEGA_R_MHZ, bracket=(150.0, 230.0)):
@@ -126,9 +149,9 @@ def p1_anticrossing_map(
     omega_grid = np.linspace(
         res.omega_r - omega_halfwidth, res.omega_r + omega_halfwidth, omega_points
     )
-    freqs = [p1_transition_frequency(b, line_index) for b in b_grid]
-    lines = [[cavity_qed.SpinLine(f, linewidth, g_ens)] for f in freqs]
-    return cavity_qed.s21_map(b_grid, omega_grid, res, lines)
+    return spin_line_map(
+        "p1", B001, AXIS_111, b_grid, omega_grid, res, linewidth, g_ens, lines=(line_index,)
+    )
 
 
 def coupling_budget(
@@ -216,10 +239,14 @@ def lorentzian_q_trace(omega_r, q_int, q_ext, span_widths=16.0, n_points=2001):
     return grid, mag
 
 
+def noisy_magnitude(mag, sigma, seed=0):
+    """Seeded additive Gaussian noise on a magnitude array, clipped at zero."""
+    rng = np.random.default_rng(seed)
+    return np.clip(mag + rng.normal(0.0, sigma, mag.shape), 0.0, None)
+
+
 def add_magnitude_noise(smap, sigma, seed=0):
     """Additive Gaussian noise on |S21|, clipped at zero, phase preserved."""
-    rng = np.random.default_rng(seed)
-    mag = np.abs(smap.values)
-    noisy = np.clip(mag + rng.normal(0.0, sigma, mag.shape), 0.0, None)
+    noisy = noisy_magnitude(np.abs(smap.values), sigma, seed)
     values = noisy * np.exp(1j * np.angle(smap.values))
     return cavity_qed.SpectrumMap(smap.b_axis, smap.omega_axis, values)

@@ -12,8 +12,7 @@ non-convergence, 4 input/output or data-format error.
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -28,40 +27,62 @@ class CsvError(Exception):
     pass
 
 
+def _indices(raw):
+    try:
+        return tuple(int(p) for p in raw.replace(",", " ").split())
+    except ValueError:
+        raise ValueError("must be integers") from None
+
+
+def _miller(raw):
+    try:
+        triple = _indices(raw)
+    except ValueError:
+        triple = ()
+    if len(triple) != 3 or not any(triple):
+        raise ValueError(f"must be three Miller indices, got {raw!r}")
+    return triple
+
+
+def _key(default=MISSING, parse=float, lo=None, hi=None):
+    """A config key: the field name is the INI key; no default means required."""
+    return field(default=default, metadata={"parse": parse, "lo": lo, "hi": hi})
+
+
 @dataclass(frozen=True)
 class SampleConfig:
-    defect: str
-    density_ppm: float
-    volume_mm3: float = experiments.SAMPLE1_VOLUME_MM3
-    field_direction: tuple = (1, 1, 0)
-    linewidth_mhz: float = 5.0
-    orientation_fraction: float = 0.5
-    nuclear_fraction: float = 1.0
-    filling_factor: float = 1.0
-    transition_weight: float = experiments.DEFAULT_TRANSITION_WEIGHT
-    g_ens_mhz: float | None = None
-    initial_levels: tuple = (0,)
+    defect: str = _key(parse=str.upper)
+    density_ppm: float = _key(lo=0.0)
+    volume_mm3: float = _key(experiments.SAMPLE1_VOLUME_MM3, lo=0.0)
+    field_direction: tuple = _key((1, 1, 0), parse=_miller)
+    linewidth_mhz: float = _key(5.0, lo=1e-9)
+    orientation_fraction: float = _key(0.5, lo=0.0, hi=1.0)
+    nuclear_fraction: float = _key(1.0, lo=0.0, hi=1.0)  # 1/3 for P1, set in parse_config
+    filling_factor: float = _key(1.0, lo=0.0, hi=1.0)
+    transition_weight: float = _key(experiments.DEFAULT_TRANSITION_WEIGHT, lo=0.0)
+    g_ens_mhz: float | None = _key(None, lo=0.0)
+    initial_levels: tuple = _key((0,), parse=_indices)
 
 
 @dataclass(frozen=True)
 class ResonatorConfig:
-    omega_r_mhz: float | None = None
-    q_int: float = experiments.Q_INT
-    q_ext1: float = 2.0 * experiments.Q_EXT_MIN
-    q_ext2: float = 2.0 * experiments.Q_EXT_MIN
-    mode_volume_mm3: float = experiments.MODE_VOLUME_MM3
-    circuit: circuit_model.CircuitElements | None = None
+    omega_r_mhz: float | None = _key(None, lo=1e-9)
+    q_int: float = _key(experiments.Q_INT, lo=1e-9)
+    q_ext1: float = _key(2.0 * experiments.Q_EXT_MIN, lo=1e-9)
+    q_ext2: float = _key(2.0 * experiments.Q_EXT_MIN, lo=1e-9)
+    mode_volume_mm3: float = _key(experiments.MODE_VOLUME_MM3, lo=1e-12)
+    circuit: circuit_model.CircuitElements | None = None  # keys in _CIRCUIT_KEYS
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    b_min_mt: float = 60.0
-    b_max_mt: float = 90.0
-    b_points: int = 61
-    omega_min_mhz: float = 5340.0
-    omega_max_mhz: float = 5440.0
-    omega_points: int = 401
-    seed: int = 0
+    b_min_mt: float = _key(60.0)
+    b_max_mt: float = _key(90.0)
+    b_points: int = _key(61, parse=int, lo=2)
+    omega_min_mhz: float = _key(5340.0)
+    omega_max_mhz: float = _key(5440.0)
+    omega_points: int = _key(401, parse=int, lo=2)
+    seed: int = _key(0, parse=int)
 
 
 @dataclass(frozen=True)
@@ -71,92 +92,71 @@ class ExperimentConfig:
     sweep: SweepConfig
 
 
-_SAMPLE_KEYS = {
-    "defect",
-    "density_ppm",
-    "volume_mm3",
-    "field_direction",
-    "linewidth_mhz",
-    "orientation_fraction",
-    "nuclear_fraction",
-    "filling_factor",
-    "transition_weight",
-    "g_ens_mhz",
-    "initial_levels",
+# [resonator] key -> CircuitElements field; the first five are required together
+_CIRCUIT_KEYS = {
+    "l_nh": "l",
+    "c_pf": "c",
+    "r_ohm": "r_loss",
+    "cc1_ff": "cc1",
+    "cc2_ff": "cc2",
+    "cx_ff": "cx",
+    "z0_ohm": "z0",
 }
-_RES_KEYS = {
-    "omega_r_mhz",
-    "q_int",
-    "q_ext1",
-    "q_ext2",
-    "mode_volume_mm3",
-    "l_nh",
-    "c_pf",
-    "r_ohm",
-    "cc1_ff",
-    "cc2_ff",
-    "cx_ff",
-    "z0_ohm",
-}
-_SWEEP_KEYS = {
-    "b_min_mt",
-    "b_max_mt",
-    "b_points",
-    "omega_min_mhz",
-    "omega_max_mhz",
-    "omega_points",
-    "seed",
-}
-_CIRCUIT_REQUIRED = ("l_nh", "c_pf", "r_ohm", "cc1_ff", "cc2_ff")
+_SECTIONS = {"sample": SampleConfig, "resonator": ResonatorConfig, "sweep": SweepConfig}
+_NOUNS = {float: "a number", int: "an integer"}  # parse errors of the built-in parsers
 
 
-def _reject_unknown(section, items, allowed):
+def _schema(cls):
+    return [f for f in fields(cls) if "parse" in f.metadata]
+
+
+def _value(section, key, raw, parse=float, lo=None, hi=None):
+    try:
+        v = parse(raw)
+    except ValueError as exc:
+        reason = f"is not {_NOUNS[parse]}: {raw!r}" if parse in _NOUNS else exc
+        raise ConfigError(f"key '{key}' in [{section}] {reason}")
+    if lo is not None and v < lo or hi is not None and v > hi:
+        shown = f"{v:g}" if isinstance(v, float) else v
+        raise ConfigError(f"key '{key}' in [{section}] out of range: {shown}")
+    return v
+
+
+def _parse_section(section, items, extra=()):
+    """Keyword arguments of the section's dataclass from its INI items.
+
+    `extra` names keys the section accepts that its dataclass does not hold.
+    """
+    schema = _schema(_SECTIONS[section])
+    allowed = {f.name for f in schema}.union(extra)
     for key in items:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in section [{section}]")
+    values = {}
+    for f in schema:
+        if f.name in items:
+            values[f.name] = _value(section, f.name, items[f.name], **f.metadata)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key '{f.name}' in section [{section}]")
+    return values
 
 
-def _float(section, items, key, default=None, lo=None, hi=None, required=False):
-    if key not in items:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
-        return default
+def _parse_circuit(items):
+    required = list(_CIRCUIT_KEYS)[:5]
+    if not any(k in items for k in required):
+        return None
+    for k in required:
+        if k not in items:
+            raise ConfigError(f"missing required key '{k}' in section [resonator] (circuit mode)")
+    elements = {
+        attr: _value("resonator", key, items[key])
+        for key, attr in _CIRCUIT_KEYS.items()
+        if key in items
+    }
     try:
-        v = float(items[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}' in [{section}] is not a number: {items[key]!r}")
-    if lo is not None and v < lo or hi is not None and v > hi:
-        raise ConfigError(f"key '{key}' in [{section}] out of range: {v:g}")
-    return v
-
-
-def _int(section, items, key, default=None, lo=None, required=False):
-    if key not in items:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
-        return default
-    try:
-        v = int(items[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}' in [{section}] is not an integer: {items[key]!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"key '{key}' in [{section}] out of range: {v}")
-    return v
-
-
-def _int_triple(section, items, key, default):
-    if key not in items:
-        return default
-    parts = items[key].replace(",", " ").split()
-    try:
-        triple = tuple(int(p) for p in parts)
-    except ValueError:
-        triple = ()
-    if len(triple) != 3 or all(t == 0 for t in triple):
-        raise ConfigError(
-            f"key '{key}' in [{section}] must be three Miller indices, got {items[key]!r}"
-        )
-    return triple
+        return circuit_model.CircuitElements(**elements)
+    except ValueError as exc:
+        raise ConfigError(f"invalid circuit elements in [resonator]: {exc}")
 
 
 def parse_config(text):
@@ -167,97 +167,27 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}")
     for section in cp.sections():
-        if section not in ("sample", "resonator", "sweep"):
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
 
     sample = None
     if cp.has_section("sample"):
         items = dict(cp.items("sample"))
-        _reject_unknown("sample", items, _SAMPLE_KEYS)
-        if "defect" not in items:
-            raise ConfigError("missing required key 'defect' in section [sample]")
-        defect = items["defect"].strip().upper()
-        if defect not in ("NV", "P1"):
+        values = _parse_section("sample", items)
+        if values["defect"] not in ("NV", "P1"):
             raise ConfigError(f"defect must be NV or P1, got {items['defect']!r}")
-        levels_raw = items.get("initial_levels", "0").replace(",", " ").split()
-        try:
-            initial_levels = tuple(int(p) for p in levels_raw)
-        except ValueError:
-            raise ConfigError("key 'initial_levels' in [sample] must be integers")
-        nuclear_default = 1.0 if defect == "NV" else 1.0 / 3.0
-        sample = SampleConfig(
-            defect=defect,
-            density_ppm=_float("sample", items, "density_ppm", lo=0.0, required=True),
-            volume_mm3=_float(
-                "sample", items, "volume_mm3", experiments.SAMPLE1_VOLUME_MM3, lo=0.0
-            ),
-            field_direction=_int_triple("sample", items, "field_direction", (1, 1, 0)),
-            linewidth_mhz=_float("sample", items, "linewidth_mhz", 5.0, lo=1e-9),
-            orientation_fraction=_float(
-                "sample", items, "orientation_fraction", 0.5, lo=0.0, hi=1.0
-            ),
-            nuclear_fraction=_float(
-                "sample", items, "nuclear_fraction", nuclear_default, lo=0.0, hi=1.0
-            ),
-            filling_factor=_float("sample", items, "filling_factor", 1.0, lo=0.0, hi=1.0),
-            transition_weight=_float(
-                "sample", items, "transition_weight",
-                experiments.DEFAULT_TRANSITION_WEIGHT, lo=0.0,
-            ),
-            g_ens_mhz=_float("sample", items, "g_ens_mhz", None, lo=0.0),
-            initial_levels=initial_levels,
-        )
+        if values["defect"] == "P1":
+            values.setdefault("nuclear_fraction", 1.0 / 3.0)
+        sample = SampleConfig(**values)
 
     resonator = None
     if cp.has_section("resonator"):
         items = dict(cp.items("resonator"))
-        _reject_unknown("resonator", items, _RES_KEYS)
-        circuit = None
-        if any(k in items for k in _CIRCUIT_REQUIRED):
-            for k in _CIRCUIT_REQUIRED:
-                if k not in items:
-                    raise ConfigError(
-                        f"missing required key '{k}' in section [resonator] (circuit mode)"
-                    )
-            try:
-                circuit = circuit_model.CircuitElements(
-                    l=_float("resonator", items, "l_nh", required=True),
-                    c=_float("resonator", items, "c_pf", required=True),
-                    r_loss=_float("resonator", items, "r_ohm", required=True),
-                    cc1=_float("resonator", items, "cc1_ff", required=True),
-                    cc2=_float("resonator", items, "cc2_ff", required=True),
-                    cx=_float("resonator", items, "cx_ff", 0.0),
-                    z0=_float("resonator", items, "z0_ohm", 50.0),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"invalid circuit elements in [resonator]: {exc}")
-        resonator = ResonatorConfig(
-            omega_r_mhz=_float("resonator", items, "omega_r_mhz", None, lo=1e-9),
-            q_int=_float("resonator", items, "q_int", experiments.Q_INT, lo=1e-9),
-            q_ext1=_float(
-                "resonator", items, "q_ext1", 2.0 * experiments.Q_EXT_MIN, lo=1e-9
-            ),
-            q_ext2=_float(
-                "resonator", items, "q_ext2", 2.0 * experiments.Q_EXT_MIN, lo=1e-9
-            ),
-            mode_volume_mm3=_float(
-                "resonator", items, "mode_volume_mm3", experiments.MODE_VOLUME_MM3, lo=1e-12
-            ),
-            circuit=circuit,
-        )
+        values = _parse_section("resonator", items, extra=_CIRCUIT_KEYS)
+        resonator = ResonatorConfig(**values, circuit=_parse_circuit(items))
 
     items = dict(cp.items("sweep")) if cp.has_section("sweep") else {}
-    if items:
-        _reject_unknown("sweep", items, _SWEEP_KEYS)
-    sweep = SweepConfig(
-        b_min_mt=_float("sweep", items, "b_min_mt", 60.0),
-        b_max_mt=_float("sweep", items, "b_max_mt", 90.0),
-        b_points=_int("sweep", items, "b_points", 61, lo=2),
-        omega_min_mhz=_float("sweep", items, "omega_min_mhz", 5340.0),
-        omega_max_mhz=_float("sweep", items, "omega_max_mhz", 5440.0),
-        omega_points=_int("sweep", items, "omega_points", 401, lo=2),
-        seed=_int("sweep", items, "seed", 0),
-    )
+    sweep = SweepConfig(**_parse_section("sweep", items))
     if sweep.b_min_mt >= sweep.b_max_mt:
         raise ConfigError("b_min_mt must be smaller than b_max_mt in section [sweep]")
     if sweep.omega_min_mhz >= sweep.omega_max_mhz:
@@ -265,54 +195,26 @@ def parse_config(text):
     return ExperimentConfig(sample, resonator, sweep)
 
 
+def _text(v):
+    return " ".join(str(i) for i in v) if isinstance(v, tuple) else str(v)
+
+
 def dump_config(cfg):
-    """Canonical INI text; floats printed with repr so re-parsing is exact."""
+    """Canonical INI text in declaration order; str(float) is exact on re-parsing."""
     lines = []
-    if cfg.sample is not None:
-        s = cfg.sample
-        lines.append("[sample]")
-        lines.append(f"defect = {s.defect}")
-        lines.append(f"density_ppm = {s.density_ppm!r}")
-        lines.append(f"volume_mm3 = {s.volume_mm3!r}")
-        lines.append("field_direction = " + " ".join(str(i) for i in s.field_direction))
-        lines.append(f"linewidth_mhz = {s.linewidth_mhz!r}")
-        lines.append(f"orientation_fraction = {s.orientation_fraction!r}")
-        lines.append(f"nuclear_fraction = {s.nuclear_fraction!r}")
-        lines.append(f"filling_factor = {s.filling_factor!r}")
-        lines.append(f"transition_weight = {s.transition_weight!r}")
-        if s.g_ens_mhz is not None:
-            lines.append(f"g_ens_mhz = {s.g_ens_mhz!r}")
-        lines.append("initial_levels = " + " ".join(str(i) for i in s.initial_levels))
+    for section in _SECTIONS:
+        part = getattr(cfg, section)
+        if part is None:
+            continue
+        lines.append(f"[{section}]")
+        for f in _schema(type(part)):
+            v = getattr(part, f.name)
+            if v is not None:
+                lines.append(f"{f.name} = {_text(v)}")
+        circuit = getattr(part, "circuit", None)
+        if circuit is not None:
+            lines += [f"{k} = {_text(getattr(circuit, a))}" for k, a in _CIRCUIT_KEYS.items()]
         lines.append("")
-    if cfg.resonator is not None:
-        r = cfg.resonator
-        lines.append("[resonator]")
-        if r.omega_r_mhz is not None:
-            lines.append(f"omega_r_mhz = {r.omega_r_mhz!r}")
-        lines.append(f"q_int = {r.q_int!r}")
-        lines.append(f"q_ext1 = {r.q_ext1!r}")
-        lines.append(f"q_ext2 = {r.q_ext2!r}")
-        lines.append(f"mode_volume_mm3 = {r.mode_volume_mm3!r}")
-        if r.circuit is not None:
-            c = r.circuit
-            lines.append(f"l_nh = {c.l!r}")
-            lines.append(f"c_pf = {c.c!r}")
-            lines.append(f"r_ohm = {c.r_loss!r}")
-            lines.append(f"cc1_ff = {c.cc1!r}")
-            lines.append(f"cc2_ff = {c.cc2!r}")
-            lines.append(f"cx_ff = {c.cx!r}")
-            lines.append(f"z0_ohm = {c.z0!r}")
-        lines.append("")
-    w = cfg.sweep
-    lines.append("[sweep]")
-    lines.append(f"b_min_mt = {w.b_min_mt!r}")
-    lines.append(f"b_max_mt = {w.b_max_mt!r}")
-    lines.append(f"b_points = {w.b_points}")
-    lines.append(f"omega_min_mhz = {w.omega_min_mhz!r}")
-    lines.append(f"omega_max_mhz = {w.omega_max_mhz!r}")
-    lines.append(f"omega_points = {w.omega_points}")
-    lines.append(f"seed = {w.seed}")
-    lines.append("")
     return "\n".join(lines)
 
 
@@ -338,16 +240,14 @@ def _field_setup(sample):
 
 def _resonator_mode(res):
     if res.omega_r_mhz is not None:
-        f = res.omega_r_mhz
-        return cavity_qed.ResonatorMode(f, f / res.q_int, f / res.q_ext1, f / res.q_ext2)
+        return experiments.resonator_mode(res.omega_r_mhz, res.q_int, res.q_ext1, res.q_ext2)
     if res.circuit is not None:
         if res.circuit.cx != 0:
             raise ConfigError(
                 "cannot derive a resonator mode from a circuit with crosstalk; "
                 "give omega_r_mhz explicitly"
             )
-        f0, q_int, q_e1, q_e2 = circuit_model.q_decomposition(res.circuit)
-        return cavity_qed.ResonatorMode(f0, f0 / q_int, f0 / q_e1, f0 / q_e2)
+        return experiments.resonator_mode(*circuit_model.q_decomposition(res.circuit))
     raise ConfigError("section [resonator] needs omega_r_mhz or circuit elements")
 
 
@@ -370,28 +270,6 @@ def _line_coupling(sample, res_mode, mode_volume):
     return _budget(sample, res_mode, mode_volume)["g_ens_mhz"]
 
 
-def _transition_curves(cfg, b_grid, res_mode):
-    """Per-field SpinLine lists for the configured defect."""
-    sample = cfg.sample
-    direction, axis = _field_setup(sample)
-    g = _line_coupling(sample, res_mode, cfg.resonator.mode_volume_mm3)
-    curves = spin_models.level_curve(sample.defect.lower(), direction, axis, b_grid)
-    e = curves.energies
-    if sample.defect == "NV":
-        pairs = [(0, e.shape[1] - 1)]
-    else:
-        pairs = [(k, e.shape[1] - 1 - k) for k in range(3)]
-    out = []
-    for i in range(b_grid.size):
-        out.append(
-            [
-                cavity_qed.SpinLine(abs(e[i, hi] - e[i, lo]), sample.linewidth_mhz, g)
-                for lo, hi in pairs
-            ]
-        )
-    return out
-
-
 def _b_grid(sweep):
     return np.linspace(sweep.b_min_mt, sweep.b_max_mt, sweep.b_points)
 
@@ -408,8 +286,9 @@ def _write(out_path, text):
             fh.write(text)
 
 
-def _fmt(x):
-    return f"{x:.10g}"
+def _write_csv(out_path, header, rows):
+    lines = [header] + [",".join(f"{x:.10g}" for x in row) for row in rows]
+    _write(out_path, "\n".join(lines) + "\n")
 
 
 def cmd_levels(cfg, args):
@@ -417,62 +296,44 @@ def cmd_levels(cfg, args):
     direction, axis = _field_setup(sample)
     grid = _b_grid(cfg.sweep)
     curves = spin_models.level_curve(sample.defect.lower(), direction, axis, grid)
-    dim = curves.energies.shape[1]
-    rows = ["B_mT," + ",".join(f"E{k}_MHz" for k in range(dim))]
-    for i, b in enumerate(grid):
-        rows.append(_fmt(b) + "," + ",".join(_fmt(v) for v in curves.energies[i]))
-    _write(args.out, "\n".join(rows) + "\n")
+    header = "B_mT," + ",".join(f"E{k}_MHz" for k in range(curves.energies.shape[1]))
+    _write_csv(args.out, header, ([b, *e] for b, e in zip(grid, curves.energies)))
     return 0
 
 
 def cmd_transitions(cfg, args):
     sample = _require(cfg, "sample", "transitions")
     direction, axis = _field_setup(sample)
-    build = (
-        spin_models.build_nv_hamiltonian
-        if sample.defect == "NV"
-        else spin_models.build_p1_hamiltonian
-    )
-    rows = ["B_mT,f_MHz,weight,from_level,to_level"]
+    builders = {"NV": spin_models.build_nv_hamiltonian, "P1": spin_models.build_p1_hamiltonian}
+    rows = []
     for b in _b_grid(cfg.sweep):
-        eig = spin_models.eigensystem(build(b * direction, axis))
+        eig = spin_models.eigensystem(builders[sample.defect](b * direction, axis))
         for line in spin_models.transition_spectrum(eig, initial_levels=sample.initial_levels):
-            rows.append(
-                f"{_fmt(b)},{_fmt(line.freq)},{_fmt(line.weight)},"
-                f"{line.from_index},{line.to_index}"
-            )
-    _write(args.out, "\n".join(rows) + "\n")
+            rows.append((b, line.freq, line.weight, line.from_index, line.to_index))
+    _write_csv(args.out, "B_mT,f_MHz,weight,from_level,to_level", rows)
     return 0
 
 
-def _synthesize_map(cfg, noise, threads):
-    _require(cfg, "sample", "map")
-    res_mode = _resonator_mode(_require(cfg, "resonator", "map"))
-    b_grid = _b_grid(cfg.sweep)
-    omega_grid = _omega_grid(cfg.sweep)
-    curves = _transition_curves(cfg, b_grid, res_mode)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda ln: cavity_qed.s21_spectrum(omega_grid, res_mode, ln), curves)
-            )
-        smap = cavity_qed.SpectrumMap(b_grid, omega_grid, np.array(rows))
-    else:
-        smap = cavity_qed.s21_map(b_grid, omega_grid, res_mode, curves)
+def _synthesize_map(cfg, noise, threads=None):
+    """S21 map over the config's sweep; `threads`, like --threads, is ignored."""
+    sample = _require(cfg, "sample", "map")
+    res = _require(cfg, "resonator", "map")
+    res_mode = _resonator_mode(res)
+    direction, axis = _field_setup(sample)
+    smap = experiments.spin_line_map(
+        sample.defect, direction, axis, _b_grid(cfg.sweep), _omega_grid(cfg.sweep), res_mode,
+        sample.linewidth_mhz, _line_coupling(sample, res_mode, res.mode_volume_mm3),
+    )
     if noise:
         smap = experiments.add_magnitude_noise(smap, noise, cfg.sweep.seed)
     return smap
 
 
 def cmd_map(cfg, args):
-    _require(cfg, "sample", "map")
-    smap = _synthesize_map(cfg, args.noise, args.threads)
-    rows = ["B_mT,f_MHz,S21_mag,S21_arg"]
-    for i, b in enumerate(smap.b_axis):
-        for j, f in enumerate(smap.omega_axis):
-            v = smap.values[i, j]
-            rows.append(f"{_fmt(b)},{_fmt(f)},{_fmt(abs(v))},{_fmt(np.angle(v))}")
-    _write(args.out, "\n".join(rows) + "\n")
+    smap = _synthesize_map(cfg, args.noise)
+    b, f = np.meshgrid(smap.b_axis, smap.omega_axis, indexing="ij")
+    columns = (b, f, np.abs(smap.values), np.angle(smap.values))
+    _write_csv(args.out, "B_mT,f_MHz,S21_mag,S21_arg", zip(*(c.ravel().tolist() for c in columns)))
     return 0
 
 
@@ -564,8 +425,7 @@ def _synthesize_trace(cfg, noise):
         grid = _omega_grid(cfg.sweep)
         mag = np.abs(cavity_qed.s21_spectrum(grid, res_mode, []))
     if noise:
-        rng = np.random.default_rng(cfg.sweep.seed)
-        mag = np.clip(mag + rng.normal(0.0, noise, mag.shape), 0.0, None)
+        mag = experiments.noisy_magnitude(mag, noise, cfg.sweep.seed)
     return fitting.Spectrum1D(grid, mag)
 
 
@@ -581,9 +441,7 @@ def _report_lines(title, params, result):
 
 def cmd_fit(cfg, args):
     if args.kind == "avoided_crossing":
-        smap = _map_from_csv(args.infile) if args.infile else _synthesize_map(
-            cfg, args.noise, args.threads
-        )
+        smap = _map_from_csv(args.infile) if args.infile else _synthesize_map(cfg, args.noise)
         result = fitting.fit_avoided_crossing(smap)
         p = result.params
         text = _report_lines(
@@ -637,10 +495,7 @@ def cmd_circuit(cfg, args):
     if res.circuit is None:
         raise ConfigError("command 'circuit' needs circuit elements in [resonator]")
     grid, s21 = experiments.loop_gap_trace(res.circuit)
-    rows = ["f_MHz,S21_mag,S21_arg"]
-    for f, v in zip(grid, s21):
-        rows.append(f"{_fmt(f)},{_fmt(abs(v))},{_fmt(np.angle(v))}")
-    _write(args.out, "\n".join(rows) + "\n")
+    _write_csv(args.out, "f_MHz,S21_mag,S21_arg", zip(grid, np.abs(s21), np.angle(s21)))
     if args.out is not None and res.circuit.cx == 0:
         f0, q_int, q_e1, q_e2 = circuit_model.q_decomposition(res.circuit)
         sys.stdout.write(
@@ -671,7 +526,7 @@ def _build_parser():
                            help="additive Gaussian noise on |S21|, seeded from the config")
         if threads:
             p.add_argument("--threads", type=int, default=1, metavar="N",
-                           help="worker threads for map rows")
+                           help="accepted and ignored; maps are built in one thread")
         if fit:
             p.add_argument("--kind", default="avoided_crossing",
                            choices=("avoided_crossing", "lorentzian", "fano"))

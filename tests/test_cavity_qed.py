@@ -298,3 +298,17 @@ def test_p1_transition_ordering():
         assert f[0] > f[1] > f[2]
     with pytest.raises(ValueError):
         ex.p1_transition_frequency(190.0, 3)
+
+
+@pytest.mark.parametrize("line_index", [0, 1, 2])
+def test_p1_map_lines_match_sorted_levels(line_index):
+    # the map takes its lines from levels tracked along the sweep, the
+    # crossing search from levels sorted at each field: both must agree
+    g = 8.8
+    smap = ex.p1_anticrossing_map(line_index, g)
+    lines = [
+        [cq.SpinLine(ex.p1_transition_frequency(b, line_index), ex.MAP_LINEWIDTH_MHZ, g)]
+        for b in smap.b_axis
+    ]
+    ref = cq.s21_map(smap.b_axis, smap.omega_axis, ex.resonator_mode(), lines)
+    np.testing.assert_allclose(smap.values, ref.values, rtol=1e-9)

@@ -4,11 +4,19 @@ Every end-to-end case goes through main(argv) exactly as the installed
 entry point would, with configs and data written to tmp_path.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spincavity import experiments as ex
 from spincavity import sweep_cli as cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted((ROOT / "configs").glob("*.ini"))
 
 NV_MINIMAL = """
 [sample]
@@ -45,6 +53,45 @@ c_pf = 3.465
 r_ohm = 11010
 cc1_ff = 10
 cc2_ff = 10
+"""
+
+# every key of every section, each away from its default
+ALL_KEYS = """
+[sample]
+defect = P1
+density_ppm = 12.5
+volume_mm3 = 3.25
+field_direction = 1 -1 2
+linewidth_mhz = 1.75
+orientation_fraction = 0.25
+nuclear_fraction = 0.5
+filling_factor = 0.8
+transition_weight = 0.75
+g_ens_mhz = 9.5
+initial_levels = 0 3
+
+[resonator]
+omega_r_mhz = 5400.5
+q_int = 1250
+q_ext1 = 6000
+q_ext2 = 8000
+mode_volume_mm3 = 10.5
+l_nh = 0.3
+c_pf = 3.1
+r_ohm = 12000
+cc1_ff = 9
+cc2_ff = 11
+cx_ff = 0.5
+z0_ohm = 75
+
+[sweep]
+b_min_mt = 180
+b_max_mt = 200
+b_points = 81
+omega_min_mhz = 5300
+omega_max_mhz = 5500
+omega_points = 201
+seed = 7
 """
 
 
@@ -94,6 +141,12 @@ def test_parse_p1_nuclear_default_is_one_third():
         "[sweep]\nb_min_mt = 90\nb_max_mt = 60\n",
         "[sweep]\nomega_min_mhz = 5400\nomega_max_mhz = 5300\n",
         "not an ini file at all [",
+        "[sample]\ndefect = NV\ndensity_ppm = 10\norientation_fraction = 1.5\n",
+        "[sample]\ndefect = NV\ndensity_ppm = 10\nlinewidth_mhz = 0\n",
+        "[resonator]\nq_int = 0\n",
+        "[sweep]\nb_points = 1\n",
+        "[sweep]\nomega_points = x\n",
+        CIRCUIT_ONLY.replace("cc2_ff = 10\n", ""),
     ],
 )
 def test_parse_rejects_bad_configs(text):
@@ -111,12 +164,25 @@ def test_parse_circuit_needs_all_elements():
     assert cfg.resonator.circuit.l == 0.25
 
 
+def ini_keys(text):
+    return sorted(ln.split("=")[0].strip() for ln in text.splitlines() if "=" in ln)
+
+
 def test_dump_parse_round_trip():
-    for text in (NV_MINIMAL, NV_MAP, CIRCUIT_ONLY):
+    assert len(SHIPPED) == 3
+    for text in [NV_MINIMAL, NV_MAP, CIRCUIT_ONLY, ALL_KEYS] + [p.read_text() for p in SHIPPED]:
         cfg = cli.parse_config(text)
         dumped = cli.dump_config(cfg)
         assert cli.parse_config(dumped) == cfg
         assert cli.dump_config(cli.parse_config(dumped)) == dumped
+    # every key is dumped and keeps its parsed value
+    cfg = cli.parse_config(ALL_KEYS)
+    assert ini_keys(cli.dump_config(cfg)) == ini_keys(ALL_KEYS)
+    assert cfg.sample.field_direction == (1, -1, 2)
+    assert cfg.sample.initial_levels == (0, 3)
+    assert cfg.resonator.circuit.cx == 0.5
+    assert cfg.resonator.circuit.z0 == 75.0
+    assert cfg.sweep.seed == 7
 
 
 def test_defect_axis_picks_closest_bond():
@@ -352,6 +418,20 @@ def test_map_from_circuit_with_crosstalk_exits_2(tmp_path, capsys):
     cfgp = write(tmp_path, "ct.ini", text)
     assert cli.main(["map", "--config", cfgp]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_without_warnings():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spincavity.sweep_cli", "config", "dump",
+         "--config", str(ROOT / "configs" / "loop_gap.ini")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert cli.parse_config(proc.stdout).resonator.circuit.l == 0.25
 
 
 def test_config_dump_cli(tmp_path, capsys):
