@@ -12,6 +12,7 @@ field is rotated in.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -162,83 +163,124 @@ def _hyperfine_matrix(hf, frame_rotation):
 
 def _check_field(b_dc):
     b = np.asarray(b_dc, dtype=float)
-    if b.shape != (3,) or not np.all(np.isfinite(b)):
-        raise ValueError("b_dc must be a finite 3-vector in mT")
+    if b.ndim not in (1, 2) or b.shape[-1] != 3 or not np.all(np.isfinite(b)):
+        raise ValueError("b_dc must be a finite 3-vector or an (n, 3) stack of them, in mT")
     return b
+
+
+def _defect_operators(s):
+    """Field-independent operators of a spin-s electron (x) I = 1 nitrogen.
+
+    Returns the electron spin vector, the nine products S_a I_c, and the
+    squared axial components Sz^2 and Iz^2, all in the product space.
+    """
+    es, ns = spin_operators(s), spin_operators(1.0)
+    e_el, e_n = np.eye(es[0].shape[0]), np.eye(3)
+    s_ops = [np.kron(o, e_n) for o in es]
+    i_ops = [np.kron(e_el, o) for o in ns]
+    si = [[s_ops[a] @ i_ops[c] for c in range(3)] for a in range(3)]
+    return s_ops, si, np.kron(es[2] @ es[2], e_n), np.kron(e_el, ns[2] @ ns[2])
+
+
+_OPERATORS = {"nv": _defect_operators(1.0), "p1": _defect_operators(0.5)}
+# number of levels of each defect's product space
+DIMENSION = {defect: ops[0][0].shape[0] for defect, ops in _OPERATORS.items()}
+
+
+@lru_cache(maxsize=64)
+def _frame_terms(defect, axis, p):
+    """Rotation into the defect frame and the field-independent terms of H.
+
+    The terms are listed in the order the builder adds them: zero-field
+    splitting, hyperfine in (a, c) order, quadrupole.  They are kept apart,
+    not summed, so that every sum is formed as in a single-field build.
+    """
+    rot = rotation_to_z(axis)
+    _, si, szz, izz = _OPERATORS[defect]
+    a_mat = _hyperfine_matrix(p.hyperfine, rot)
+    terms = [a_mat[a, c] * si[a][c] for a in range(3) for c in range(3) if a_mat[a, c] != 0.0]
+    if defect == "nv":
+        terms = [p.d_zfs * szz] + terms + [p.quadrupole_p * izz]
+    return rot, terms
+
+
+def _frame(defect, axis, p):
+    """_frame_terms, cached where the inputs can be a key.
+
+    rotation_to_z validates the axis, so only valid axes enter the cache.
+    """
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape == (3,):
+        try:
+            return _frame_terms(defect, tuple(axis.tolist()), p)
+        except TypeError:  # unhashable params, e.g. a hyperfine axis given as a list
+            pass
+    return _frame_terms.__wrapped__(defect, axis, p)
+
+
+def _build(defect, b_dc, axis, p):
+    b = _check_field(b_dc)
+    rot, terms = _frame(defect, axis, p)
+    # a stacked matmul rounds each row exactly as rot @ b does
+    bf = (rot @ b[..., None])[..., 0]
+    s_ops = _OPERATORS[defect][0]
+    # in place, but with the roundings of gamma_e * (0 + Z_x + Z_y + Z_z) + terms
+    h = np.zeros(bf.shape[:-1] + s_ops[0].shape, dtype=complex)
+    zeeman = np.empty_like(h)
+    for a in range(3):
+        h += np.multiply(bf[..., a, None, None], s_ops[a], out=zeeman)
+    h *= p.gamma_e
+    for t in terms:
+        h += t
+    return h
 
 
 def build_nv_hamiltonian(b_dc, nv_axis, params=None):
     """9x9 Hamiltonian of one NV orientation in an applied DC field.
 
-    :param b_dc: field vector, mT, lab (crystal) frame
+    :param b_dc: field vector, mT, lab (crystal) frame; an (n, 3) stack of
+        fields gives the n Hamiltonians at once, each equal bit for bit to
+        its single-field build
     :param nv_axis: unit vector along the NV symmetry axis, lab frame
     :param params: NVParams; defaults to the literature values above
-    :returns: Hermitian 9x9 complex array, MHz, electron (x) nuclear ordering
+    :returns: Hermitian 9x9 complex array, MHz, electron (x) nuclear ordering;
+        (n, 9, 9) for a stack of fields
     """
-    p = params if params is not None else NV_DEFAULT
-    b = _check_field(b_dc)
-    rot = rotation_to_z(nv_axis)
-    bf = rot @ b
-
-    sx, sy, sz = spin_operators(1.0)
-    ix, iy, iz = spin_operators(1.0)
-    e3 = np.eye(3)
-    s_ops = [np.kron(o, e3) for o in (sx, sy, sz)]
-    i_ops = [np.kron(e3, o) for o in (ix, iy, iz)]
-
-    h = p.gamma_e * sum(bf[a] * s_ops[a] for a in range(3))
-    h = h + p.d_zfs * np.kron(sz @ sz, e3)
-    a_mat = _hyperfine_matrix(p.hyperfine, rot)
-    for a in range(3):
-        for c in range(3):
-            if a_mat[a, c] != 0.0:
-                h = h + a_mat[a, c] * (s_ops[a] @ i_ops[c])
-    h = h + p.quadrupole_p * np.kron(e3, iz @ iz)
-    return h
+    return _build("nv", b_dc, nv_axis, params if params is not None else NV_DEFAULT)
 
 
 def build_p1_hamiltonian(b_dc, p1_axis, params=None):
     """6x6 Hamiltonian of one P1 orientation: Zeeman plus axial hyperfine.
 
-    Same conventions as the NV builder; no zero-field or quadrupole term.
+    Same conventions as the NV builder, stacks included; no zero-field or
+    quadrupole term.
     """
-    p = params if params is not None else P1_DEFAULT
-    b = _check_field(b_dc)
-    rot = rotation_to_z(p1_axis)
-    bf = rot @ b
-
-    sx, sy, sz = spin_operators(0.5)
-    ix, iy, iz = spin_operators(1.0)
-    e2, e3 = np.eye(2), np.eye(3)
-    s_ops = [np.kron(o, e3) for o in (sx, sy, sz)]
-    i_ops = [np.kron(e2, o) for o in (ix, iy, iz)]
-
-    h = p.gamma_e * sum(bf[a] * s_ops[a] for a in range(3))
-    a_mat = _hyperfine_matrix(p.hyperfine, rot)
-    for a in range(3):
-        for c in range(3):
-            if a_mat[a, c] != 0.0:
-                h = h + a_mat[a, c] * (s_ops[a] @ i_ops[c])
-    return h
+    return _build("p1", b_dc, p1_axis, params if params is not None else P1_DEFAULT)
 
 
 def eigensystem(h):
-    """Diagonalize a Hermitian matrix; eigenvalues ascending."""
+    """Diagonalize a Hermitian matrix, or an (n, d, d) stack; eigenvalues ascending.
+
+    A stack is diagonalized in one call and gives values (n, d) and vectors
+    (n, d, d), each slice equal to the single-matrix result.
+    """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(h - h.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    if h.size:
+        asym = h.conj().swapaxes(-1, -2)
+        if np.max(np.abs(np.subtract(h, asym, out=asym))) > 1e-8:
+            raise ValueError("matrix is not Hermitian within tolerance")
+        del asym
     vals, vecs = np.linalg.eigh(h)
     return EigenSystem(vals, vecs)
 
 
 def _default_drive(dim):
     # electron Sx in the product space, inferred from the dimension
-    if dim == 9:
-        return np.kron(spin_operators(1.0)[0], np.eye(3))
-    if dim == 6:
-        return np.kron(spin_operators(0.5)[0], np.eye(3))
+    for s_ops, *_ in _OPERATORS.values():
+        if s_ops[0].shape[0] == dim:
+            return s_ops[0]
     raise ValueError(f"cannot infer a drive operator for dimension {dim}; pass one")
 
 
@@ -288,9 +330,13 @@ def level_curve(model, b_direction, axis, b_range, params=None):
     :returns: LevelCurves; column k of energies follows the level that starts
         as the k-th lowest at b_range[0]
 
-    Adjacent grid points are matched through the eigenvector overlap matrix
-    (best global assignment); an overlap below 0.5 means the grid is too
-    coarse to follow the levels and raises with the offending step.
+    The whole sweep is built as one (n, d, d) stack (for a callable model,
+    its matrices are stacked) and diagonalized in one call.  Adjacent grid
+    points are matched through the eigenvector overlap |V[i-1]^H V[i]|: the
+    row-wise maximum is taken where it is a permutation, which is then the
+    best global assignment, and the best global assignment is solved for
+    where it is not.  An overlap below 0.5 means the grid is too coarse to
+    follow the levels and raises with the first offending step.
     """
     b_range = np.asarray(b_range, dtype=float)
     if b_range.ndim != 1 or b_range.size < 1:
@@ -307,34 +353,56 @@ def level_curve(model, b_direction, axis, b_range, params=None):
     direction = direction / norm
 
     if callable(model):
-        build = lambda bvec: model(bvec)
+        h = np.array([model(b * direction) for b in b_range])
     else:
         key = str(model).lower()
         if key not in _BUILDERS:
             raise ValueError(f"unknown model {model!r}, expected 'nv' or 'p1'")
-        builder = _BUILDERS[key]
-        build = lambda bvec: builder(bvec, axis, params)
+        h = _BUILDERS[key](b_range[:, None] * direction, axis, params)
+    eig = eigensystem(h)
+    del h  # free the stack before tracking
+    orders = _track(eig.vectors, b_range)
+    return LevelCurves(
+        b_range,
+        np.take_along_axis(eig.values, orders, axis=1),
+        np.take_along_axis(eig.vectors, orders[:, None, :], axis=2),
+    )
 
-    energies, vectors = [], []
-    prev_vecs = None
-    for i, b in enumerate(b_range):
-        eig = eigensystem(build(b * direction))
-        vals, vecs = eig.values, eig.vectors
-        if prev_vecs is None:
-            order = np.arange(vals.size)
+
+def _track(vecs, b_range):
+    """Column order of each field's eigenvectors that follows the levels."""
+    n, dim = vecs.shape[:2]
+    # in blocks, which bounds the complex temporaries
+    overlap = np.empty((n - 1, dim, dim))
+    for s in range(0, n - 1, 128):
+        e = min(s + 128, n - 1)
+        np.abs(vecs[s:e].conj().swapaxes(1, 2) @ vecs[s + 1 : e + 1], out=overlap[s:e])
+    best = overlap.argmax(axis=2)
+    is_perm = np.all(np.sort(best, axis=1) == np.arange(dim), axis=1)
+    worst = overlap.max(axis=2).min(axis=1)
+    low = np.flatnonzero(is_perm & (worst < 0.5))
+    stop = low[0] if low.size else n - 1
+    order = list(range(dim))
+    orders = [order]
+    for i, step in enumerate(best[:stop].tolist()):
+        if is_perm[i]:
+            order = [step[k] for k in order]
         else:
-            overlap = np.abs(prev_vecs.conj().T @ vecs)
-            row, col = linear_sum_assignment(-overlap)
-            order = np.empty_like(col)
-            order[row] = col
-            worst = overlap[row, col].min()
-            if worst < 0.5:
-                raise ValueError(
-                    "level tracking ambiguous between B = "
-                    f"{b_range[i - 1]:g} and {b:g} mT (overlap {worst:.3f}); "
-                    "refine the field grid"
-                )
-        energies.append(vals[order])
-        vectors.append(vecs[:, order])
-        prev_vecs = vectors[-1]
-    return LevelCurves(b_range, np.array(energies), np.array(vectors))
+            tracked = overlap[i][order]
+            row, col = linear_sum_assignment(-tracked)
+            order = col.tolist()
+            w = tracked[row, col].min()
+            if w < 0.5:
+                raise _ambiguous(b_range, i, w)
+        orders.append(order)
+    if low.size:
+        raise _ambiguous(b_range, stop, worst[stop])
+    return np.array(orders)
+
+
+def _ambiguous(b_range, i, overlap):
+    return ValueError(
+        "level tracking ambiguous between B = "
+        f"{b_range[i]:g} and {b_range[i + 1]:g} mT (overlap {overlap:.3f}); "
+        "refine the field grid"
+    )

@@ -142,12 +142,14 @@ def _parse_section(section, items, extra=()):
 
 
 def _parse_circuit(items):
-    required = list(_CIRCUIT_KEYS)[:5]
-    if not any(k in items for k in required):
+    if not any(k in items for k in _CIRCUIT_KEYS):
         return None
-    for k in required:
-        if k not in items:
-            raise ConfigError(f"missing required key '{k}' in section [resonator] (circuit mode)")
+    missing = [k for k in list(_CIRCUIT_KEYS)[:5] if k not in items]
+    if missing:
+        raise ConfigError(
+            "missing required circuit key(s) " + ", ".join(f"'{k}'" for k in missing)
+            + " in section [resonator] (circuit mode)"
+        )
     elements = {
         attr: _value("resonator", key, items[key])
         for key, attr in _CIRCUIT_KEYS.items()
@@ -178,6 +180,13 @@ def parse_config(text):
             raise ConfigError(f"defect must be NV or P1, got {items['defect']!r}")
         if values["defect"] == "P1":
             values.setdefault("nuclear_fraction", 1.0 / 3.0)
+        n_levels = spin_models.DIMENSION[values["defect"].lower()]
+        for i in values.get("initial_levels", ()):
+            if not 0 <= i < n_levels:
+                raise ConfigError(
+                    f"key 'initial_levels' in [sample] out of range: {i} "
+                    f"({values['defect']} has levels 0 to {n_levels - 1})"
+                )
         sample = SampleConfig(**values)
 
     resonator = None
@@ -304,12 +313,15 @@ def cmd_levels(cfg, args):
 def cmd_transitions(cfg, args):
     sample = _require(cfg, "sample", "transitions")
     direction, axis = _field_setup(sample)
-    builders = {"NV": spin_models.build_nv_hamiltonian, "P1": spin_models.build_p1_hamiltonian}
+    grid = _b_grid(cfg.sweep)
+    build = spin_models._BUILDERS[sample.defect.lower()]
+    eig = spin_models.eigensystem(build(grid[:, None] * direction, axis))
     rows = []
-    for b in _b_grid(cfg.sweep):
-        eig = spin_models.eigensystem(builders[sample.defect](b * direction, axis))
-        for line in spin_models.transition_spectrum(eig, initial_levels=sample.initial_levels):
-            rows.append((b, line.freq, line.weight, line.from_index, line.to_index))
+    for b, values, vectors in zip(grid, eig.values, eig.vectors):
+        lines = spin_models.transition_spectrum(
+            spin_models.EigenSystem(values, vectors), initial_levels=sample.initial_levels
+        )
+        rows += [(b, ln.freq, ln.weight, ln.from_index, ln.to_index) for ln in lines]
     _write_csv(args.out, "B_mT,f_MHz,weight,from_level,to_level", rows)
     return 0
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from spincavity import spin_models as sm
 
@@ -190,6 +191,73 @@ def test_builders_reject_bad_field():
         sm.build_p1_hamiltonian([np.nan, 0.0, 0.0], B001)
 
 
+def term_by_term(spin, b, axis, p):
+    """One field, one term at a time, in the builders' order of addition."""
+    sx, sy, sz = sm.spin_operators(spin)
+    ix, iy, iz = sm.spin_operators(1.0)
+    e_el, e3 = np.eye(sx.shape[0]), np.eye(3)
+    s_ops = [np.kron(o, e3) for o in (sx, sy, sz)]
+    i_ops = [np.kron(e_el, o) for o in (ix, iy, iz)]
+    rot = sm.rotation_to_z(axis)
+    bf = rot @ np.asarray(b, dtype=float)
+    h = p.gamma_e * sum(bf[a] * s_ops[a] for a in range(3))
+    if spin == 1.0:
+        h = h + p.d_zfs * np.kron(sz @ sz, e3)
+    a_mat = sm._hyperfine_matrix(p.hyperfine, rot)
+    for a in range(3):
+        for c in range(3):
+            if a_mat[a, c] != 0.0:
+                h = h + a_mat[a, c] * (s_ops[a] @ i_ops[c])
+    if spin == 1.0:
+        h = h + p.quadrupole_p * np.kron(e3, iz @ iz)
+    return h
+
+
+@pytest.mark.parametrize("build, spin, default, params", [
+    (sm.build_nv_hamiltonian, 1.0, sm.NV_DEFAULT,
+     sm.NVParams(d_zfs=2870.25, hyperfine=sm.HyperfineTensor(-2.7, -2.1, (0.6, 0.0, 0.8)))),
+    (sm.build_p1_hamiltonian, 0.5, sm.P1_DEFAULT,
+     sm.P1Params(gamma_e=28.025, hyperfine=sm.HyperfineTensor(114.03, 81.33, (0.0, 0.6, 0.8)))),
+])
+def test_stacked_build_equals_per_row_build(build, spin, default, params):
+    """Bit for bit: each row of a stack, its single-field build and the
+    term-by-term construction."""
+    rng = np.random.default_rng(21)
+    fields = rng.uniform(-250.0, 250.0, size=(40, 3))
+    for axis, p in [(AXIS_111, None), (unit(rng.normal(size=3)), None),
+                    (unit([0.0078125, 0.0078125, -1.0]), None), (AXIS_111, params)]:
+        stack = build(fields, axis, p)
+        assert stack.shape == (40,) + build(fields[0], axis).shape
+        for b, h in zip(fields, stack):
+            assert np.array_equal(h, build(b, axis, p))
+            assert np.array_equal(h, term_by_term(spin, b, axis, p or default))
+
+
+def test_builders_accept_unhashable_params():
+    # a hyperfine axis given as a list makes the params unhashable
+    hf = sm.HyperfineTensor(sm.A_NV_PERP, sm.A_NV_PAR, axis=[0.0, 0.0, 1.0])
+    p = sm.NVParams(hyperfine=hf)
+    h = sm.build_nv_hamiltonian(50.0 * B110, B001, p)
+    assert np.array_equal(h, sm.build_nv_hamiltonian(50.0 * B110, B001))
+    stack = sm.build_p1_hamiltonian(np.ones((3, 3)), B001, sm.P1Params(
+        hyperfine=sm.HyperfineTensor(1.0, 2.0, axis=[0.0, 0.0, 1.0])))
+    assert stack.shape == (3, 6, 6)
+
+
+@pytest.mark.parametrize("build", [sm.build_nv_hamiltonian, sm.build_p1_hamiltonian])
+def test_stacked_builders_reject_bad_fields(build):
+    with pytest.raises(ValueError):
+        build(np.ones((4, 2)), B001)
+    with pytest.raises(ValueError):
+        build(np.ones((2, 3, 3)), B001)
+    bad = np.ones((5, 3))
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError):
+        build(bad, B001)
+    with pytest.raises(ValueError):
+        build(np.ones((5, 3)), [1.0, 1.0, 1.0])
+
+
 @given(
     st.lists(st.floats(-150, 150), min_size=3, max_size=3),
     st.lists(st.floats(-1, 1), min_size=3, max_size=3),
@@ -239,6 +307,29 @@ def test_eigensystem_rejects_non_hermitian():
         sm.eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         sm.eigensystem(np.zeros((2, 3)))
+
+
+def test_eigensystem_stack_matches_single_matrices():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(8, 5, 5)) + 1j * rng.normal(size=(8, 5, 5))
+    h = (a + a.conj().swapaxes(1, 2)) / 2
+    eig = sm.eigensystem(h)
+    assert eig.values.shape == (8, 5) and eig.vectors.shape == (8, 5, 5)
+    for k in range(8):
+        one = sm.eigensystem(h[k])
+        assert np.array_equal(eig.values[k], one.values)
+        assert np.array_equal(eig.vectors[k], one.vectors)
+
+
+def test_eigensystem_rejects_bad_stacks():
+    h = np.zeros((4, 3, 3), dtype=complex)
+    h[2, 0, 1] = 1.0  # one non-Hermitian matrix in the stack
+    with pytest.raises(ValueError, match="Hermitian"):
+        sm.eigensystem(h)
+    with pytest.raises(ValueError, match="square"):
+        sm.eigensystem(np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        sm.eigensystem(np.zeros((2, 2, 3, 3)))
 
 
 def _cubic_hermitian_eigs(h):
@@ -438,3 +529,94 @@ def test_level_curve_fine_grid_tracks_through_scramble():
     model = _scramble_model()
     c = sm.level_curve(model, [0, 0, 1], None, np.linspace(0.0, 2.0, 801))
     assert np.allclose(c.energies, np.arange(5.0), atol=1e-9)
+
+
+@pytest.mark.parametrize("model, lab, b_max", [("nv", lab_frame_nv, 200.0), ("p1", lab_frame_p1, 300.0)])
+def test_level_curve_long_sweep_matches_lab_frame(model, lab, b_max):
+    """1500 tracked fields along a random direction, as sets, against the
+    per-field spectrum of the lab-frame construction."""
+    rng = np.random.default_rng(31)
+    d = unit(rng.normal(size=3))
+    grid = np.linspace(0.0, b_max, 1500) + rng.uniform(5.0, 15.0)
+    c = sm.level_curve(model, d, AXIS_111, grid)
+    ref = np.array([np.linalg.eigvalsh(lab(b * d, AXIS_111)) for b in grid])
+    tol = 1e-9 * np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(np.sort(c.energies, axis=1) - ref) <= tol)
+
+
+def test_level_curve_names_first_ambiguous_step():
+    # a 6-level basis change whose row-wise argmax is a permutation, with
+    # one row peaking below 0.5, at the steps from 1 to 2 and from 3 to 4 mT
+    rng = np.random.default_rng(2108)
+    q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+    overlap = np.abs(q)
+    assert len(set(overlap.argmax(axis=1))) == 6
+    worst = overlap.max(axis=1).min()
+    assert worst < 0.5
+
+    def model(bvec):
+        u = np.linalg.matrix_power(q, int(bvec[2] > 1.5) + int(bvec[2] > 3.5))
+        return u @ np.diag(np.arange(6.0)) @ u.conj().T
+
+    msg = f"between B = 1 and 2 mT \\(overlap {worst:.3f}\\); refine the field grid"
+    with pytest.raises(ValueError, match=msg):
+        sm.level_curve(model, [0, 0, 1], None, np.arange(5.0))
+
+
+def _lsa_tracked(model, grid):
+    """Field-by-field tracking with a global assignment at every step."""
+    energies, vectors, prev = [], [], None
+    for b in grid:
+        vals, vecs = np.linalg.eigh(np.asarray(model(np.array([0.0, 0.0, b])), dtype=complex))
+        order = np.arange(vals.size)
+        if prev is not None:
+            row, col = linear_sum_assignment(-np.abs(prev.conj().T @ vecs))
+            order = col[np.argsort(row)]
+        energies.append(vals[order])
+        vectors.append(vecs[:, order])
+        prev = vectors[-1]
+    return np.array(energies), np.array(vectors)
+
+
+def test_level_curve_assignment_fallback_matches_per_step_assignment():
+    # each step rotates the eigenbasis by q, whose rows 0 and 1 both peak in
+    # column 0: the row-wise argmax is no permutation, while the best
+    # assignment keeps every overlap near 0.7
+    def givens(i, j, t):
+        g = np.eye(3)
+        g[i, i] = g[j, j] = np.cos(t)
+        g[i, j], g[j, i] = -np.sin(t), np.sin(t)
+        return g
+
+    q = givens(0, 1, 0.8) @ givens(1, 2, 0.2) @ givens(0, 2, 0.1)
+    overlap = np.abs(q)
+    assert len(set(overlap.argmax(axis=1))) < 3
+    row, col = linear_sum_assignment(-overlap)
+    assert overlap[row, col].min() >= 0.5
+
+    def model(bvec):
+        u = np.linalg.matrix_power(q, int(round(bvec[2])))
+        return u @ np.diag([0.0, 1.0, 2.0]) @ u.T
+
+    grid = np.arange(5.0)
+    c = sm.level_curve(model, [0, 0, 1], None, grid)
+    energies, vectors = _lsa_tracked(model, grid)
+    assert np.array_equal(c.energies, energies)
+    assert np.array_equal(c.vectors, vectors)
+    assert not np.array_equal(c.energies[-1], [0.0, 1.0, 2.0])  # levels were relabelled
+
+
+def test_level_curve_diagonalizes_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sm.np.linalg, "eigh", counted)
+    grid = np.linspace(1.0, 200.0, 200)
+    for model in ("nv", "p1", _scramble_model()):
+        calls.clear()
+        sm.level_curve(model, [0.3, -0.2, 1.0], AXIS_111, grid / 100.0)
+        assert len(calls) == 1 and calls[0][0] == 200

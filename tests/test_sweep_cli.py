@@ -147,11 +147,40 @@ def test_parse_p1_nuclear_default_is_one_third():
         "[sweep]\nb_points = 1\n",
         "[sweep]\nomega_points = x\n",
         CIRCUIT_ONLY.replace("cc2_ff = 10\n", ""),
+        "[sample]\ndefect = NV\ndensity_ppm = 10\ninitial_levels = 12\n",
+        "[sample]\ndefect = NV\ndensity_ppm = 10\ninitial_levels = 0 -1\n",
+        "[sample]\ndefect = P1\ndensity_ppm = 10\ninitial_levels = 6\n",
+        "[resonator]\ncx_ff = 1\n",
+        "[resonator]\nomega_r_mhz = 5390\nz0_ohm = 75\n",
     ],
 )
 def test_parse_rejects_bad_configs(text):
     with pytest.raises(cli.ConfigError):
         cli.parse_config(text)
+
+
+def test_parse_initial_levels_up_to_the_defect_dimension():
+    nv = cli.parse_config(NV_MINIMAL + "initial_levels = 0 8\n")
+    assert nv.sample.initial_levels == (0, 8)
+    p1 = cli.parse_config("[sample]\ndefect = P1\ndensity_ppm = 20\ninitial_levels = 5\n")
+    assert p1.sample.initial_levels == (5,)
+
+
+@pytest.mark.parametrize("command, text, reason", [
+    (["transitions"], NV_MINIMAL + "initial_levels = 12\n",
+     "key 'initial_levels' in [sample] out of range: 12 (NV has levels 0 to 8)"),
+    (["transitions"], "[sample]\ndefect = P1\ndensity_ppm = 20\ninitial_levels = -1\n",
+     "key 'initial_levels' in [sample] out of range: -1 (P1 has levels 0 to 5)"),
+    (["config", "dump"], "[resonator]\ncx_ff = 1\nz0_ohm = 75\n",
+     "missing required circuit key(s) 'l_nh', 'c_pf', 'r_ohm', 'cc1_ff', 'cc2_ff' "
+     "in section [resonator] (circuit mode)"),
+])
+def test_config_errors_exit_2_with_one_line_reason(tmp_path, capsys, command, text, reason):
+    cfgp = write(tmp_path, "bad.ini", text)
+    assert cli.main(command + ["--config", cfgp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {reason}\n"
 
 
 def test_parse_circuit_needs_all_elements():
@@ -223,6 +252,21 @@ def test_transitions_csv(tmp_path, capsys):
     body = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
     assert np.all(body[:, 2] >= 1e-6)  # weight floor
     assert np.all(body[:, 3] == 0.0)   # default initial level
+
+
+def test_transitions_diagonalizes_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(cli.spin_models.np.linalg, "eigh", counted)
+    cfgp = write(tmp_path, "nv.ini", NV_MINIMAL + "initial_levels = 0 4\n")
+    assert cli.main(["transitions", "--config", cfgp]) == 0
+    assert calls == [(61, 9, 9)]
+    capsys.readouterr()
 
 
 def test_map_csv_row_count_and_determinism(tmp_path):
