@@ -66,7 +66,10 @@ P1_DEFAULT = P1Params()
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigenvalues sorted ascending (MHz) and orthonormal eigenvectors as columns."""
+    """Eigenvalues sorted ascending (MHz) and orthonormal eigenvectors as columns.
+
+    For a stack of n matrices, values is (n, d) and vectors is (n, d, d).
+    """
 
     values: np.ndarray
     vectors: np.ndarray
