@@ -6,7 +6,7 @@ the usual g * sqrt(N) enhancement of N ground-state spins sharing one cavity
 mode.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.constants import h as PLANCK_H
@@ -38,7 +38,10 @@ class ResonatorMode:
 
 @dataclass(frozen=True)
 class SpinLine:
-    """One ESR transition as seen by the cavity."""
+    """One ESR transition as seen by the cavity.
+
+    omega_s is one frequency, or one per field point of a map (s21_map).
+    """
 
     omega_s: float
     gamma: float
@@ -165,17 +168,19 @@ def s21_spectrum(omega_grid, res, lines):
     return np.sqrt(res.kappa_ext1 * res.kappa_ext2) / denom
 
 
-def s21_map(b_grid, omega_grid, res, transition_curves):
+def s21_map(b_grid, omega_grid, res, lines):
     """Transmission over a (B, frequency) grid.
 
-    transition_curves supplies one sequence of SpinLine per field point (the
-    spin frequencies move with B, the cavity does not).
+    Each SpinLine in `lines` holds its frequency at every field point:
+    omega_s has the length of b_grid (the spin lines move with B, the
+    cavity does not).  The whole map is one broadcast s21_spectrum.
     """
-    b = np.asarray(b_grid, dtype=float)
-    if len(transition_curves) != b.size:
-        raise ValueError("transition_curves length must match the field grid")
-    rows = [s21_spectrum(omega_grid, res, lines) for lines in transition_curves]
-    return SpectrumMap(b, np.asarray(omega_grid, dtype=float), np.array(rows))
+    b, omega = np.asarray(b_grid, dtype=float), np.asarray(omega_grid, dtype=float)
+    if any(np.shape(ln.omega_s) != b.shape for ln in lines):
+        raise ValueError("each line needs one frequency per field point")
+    columns = [replace(ln, omega_s=np.reshape(ln.omega_s, (-1, 1))) for ln in lines]
+    values = s21_spectrum(np.broadcast_to(omega, (b.size, omega.size)), res, columns)
+    return SpectrumMap(b, omega, values)
 
 
 def crossing_field(transition_curve, omega_r, bracket, tol=1e-3):

@@ -30,56 +30,8 @@ class CircuitElements:
             raise ValueError("coupling and crosstalk capacitances must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class TwoPortNetwork:
-    abcd: np.ndarray
-
-
-def abcd_series(z):
-    """Series impedance z (Ohm) as a chain matrix."""
-    z = complex(z)
-    if not np.isfinite(z):
-        raise ValueError("series impedance must be finite")
-    return TwoPortNetwork(np.array([[1.0, z], [0.0, 1.0]], dtype=complex))
-
-
-def abcd_shunt(y):
-    """Shunt admittance y (S) as a chain matrix."""
-    y = complex(y)
-    if not np.isfinite(y):
-        raise ValueError("shunt admittance must be finite")
-    return TwoPortNetwork(np.array([[1.0, 0.0], [y, 1.0]], dtype=complex))
-
-
-def cascade(nets):
-    """Chain-matrix product of two-ports, left to right."""
-    nets = list(nets)
-    if not nets:
-        raise ValueError("cascade of zero networks")
-    m = nets[0].abcd
-    for net in nets[1:]:
-        m = m @ net.abcd
-    return TwoPortNetwork(m)
-
-
-def abcd_to_s(net, z0=50.0):
-    """Standard chain-matrix to scattering-matrix conversion."""
-    if z0 <= 0:
-        raise ValueError("port impedance must be positive")
-    a, b, c, d = net.abcd.ravel()
-    den = a + b / z0 + c * z0 + d
-    if den == 0:
-        raise ValueError("singular conversion denominator")
-    det = a * d - b * c
-    s11 = (a + b / z0 - c * z0 - d) / den
-    s12 = 2.0 * det / den
-    s21 = 2.0 / den
-    s22 = (-a + b / z0 - c * z0 + d) / den
-    return np.array([[s11, s12], [s21, s22]])
-
-
-def _smatrix(omega_grid, elems):
-    """Full 2x2 S over the grid by nodal reduction of the internal node.
+def loop_gap_smatrix(omega_grid, elems):
+    """(s11, s12, s21, s22) over the grid, by nodal reduction of the internal node.
 
     Ports are nodes 1 and 2, the tank hangs off node A: cc1 bridges 1-A, cc2
     bridges A-2, cx bridges 1-2, and the parallel RLC ties A to ground.
@@ -117,12 +69,7 @@ def _smatrix(omega_grid, elems):
 
 def loop_gap_s21(omega_grid, elems):
     """Complex S21 of the resonator network over a frequency grid (MHz)."""
-    return _smatrix(omega_grid, elems)[2]
-
-
-def loop_gap_smatrix(omega_grid, elems):
-    """(s11, s12, s21, s22) arrays over the grid; used for passivity checks."""
-    return _smatrix(omega_grid, elems)
+    return loop_gap_smatrix(omega_grid, elems)[2]
 
 
 def q_decomposition(elems):

@@ -8,6 +8,8 @@ field along [001] (all four bonds equivalent), the coupling budget, and a
 loop-gap element set matching the measured quality factors.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import cavity_qed, circuit_model, spin_models
@@ -52,33 +54,66 @@ def resonator_mode(
     return cavity_qed.ResonatorMode(omega_r, omega_r / q_int, omega_r / q_ext1, omega_r / q_ext2)
 
 
+# per defect: field direction of the canonical sweep and the field bracket
+# (mT) that holds the crossings with the cavity
+_SETUP = {"nv": (B110, (40.0, 110.0)), "p1": (B001, (150.0, 230.0))}
+
+
 def spin_line_map(defect, direction, axis, b_grid, omega_grid, res, linewidth, g_ens, lines=None):
     """Transmission map of the cavity dressed by the defect's spin lines.
 
     Line frequencies are differences of the levels tracked along the sweep,
     for the pairs of LINE_PAIRS[defect] selected by index in `lines` (all by
-    default).  Each field point keeps the table order of its lines, the
-    order in which s21_spectrum sums them.
+    default), in the order in which s21_spectrum sums them.
     """
     pairs = LINE_PAIRS[defect.lower()]
     if lines is not None:
         pairs = [pairs[j] for j in lines]
     e = spin_models.level_curve(defect.lower(), direction, axis, b_grid).energies
-    freqs = [np.abs(e[:, hi] - e[:, lo]) for lo, hi in pairs]
-    curves = [[cavity_qed.SpinLine(f, linewidth, g_ens) for f in row] for row in zip(*freqs)]
-    return cavity_qed.s21_map(b_grid, omega_grid, res, curves)
+    spins = [cavity_qed.SpinLine(np.abs(e[:, hi] - e[:, lo]), linewidth, g_ens) for lo, hi in pairs]
+    return cavity_qed.s21_map(b_grid, omega_grid, res, spins)
+
+
+def _line_frequency(defect, b_mt, line):
+    """Line `line` of LINE_PAIRS[defect] at b_mt on the canonical sweep, from sorted levels."""
+    pairs = LINE_PAIRS[defect]
+    if line not in range(len(pairs)):
+        raise ValueError(f"line_index must lie in 0..{len(pairs) - 1}")
+    lo, hi = pairs[line]
+    vals = np.linalg.eigvalsh(spin_models._BUILDERS[defect](b_mt * _SETUP[defect][0], AXIS_111))
+    return float(vals[hi] - vals[lo])
+
+
+def _crossing(defect, line, omega_r, bracket):
+    return cavity_qed.crossing_field(lambda b: _line_frequency(defect, b, line), omega_r, bracket)
+
+
+def _anticrossing_map(defect, line, g_ens, linewidth, res, window):
+    """Map of one line around its crossing with the cavity.
+
+    window = (b_halfwidth, b_points, omega_halfwidth, omega_points); the
+    field window is centered on the crossing of the computed line with the
+    cavity, so the anticrossing sits inside the map.
+    """
+    res = res if res is not None else resonator_mode()
+    b_half, b_points, w_half, w_points = window
+    direction, bracket = _SETUP[defect]
+    b_star = _crossing(defect, line, res.omega_r, bracket)
+    b_grid = np.linspace(b_star - b_half, b_star + b_half, b_points)
+    omega_grid = np.linspace(res.omega_r - w_half, res.omega_r + w_half, w_points)
+    return spin_line_map(
+        defect, direction, AXIS_111, b_grid, omega_grid, res, linewidth, g_ens, (line,)
+    )
 
 
 def nv_transition_frequency(b_mt):
     """Lowest-to-highest NV transition for B along [110], non-orthogonal bonds."""
-    vals = np.linalg.eigvalsh(spin_models.build_nv_hamiltonian(b_mt * B110, AXIS_111))
-    lo, hi = LINE_PAIRS["nv"][0]
-    return float(vals[hi] - vals[lo])
+    return _line_frequency("nv", b_mt, 0)
 
 
-def nv_crossing(omega_r=OMEGA_R_MHZ, bracket=(40.0, 110.0)):
+def nv_crossing(omega_r=OMEGA_R_MHZ, bracket=_SETUP["nv"][1]):
     """Field where the NV transition meets the cavity, mT."""
-    return cavity_qed.crossing_field(nv_transition_frequency, omega_r, bracket)
+    return _crossing("nv", 0, omega_r, bracket)
 
 
 def nv_anticrossing_map(
@@ -90,18 +125,9 @@ def nv_anticrossing_map(
     omega_halfwidth=45.0,
     omega_points=541,
 ):
-    """Synthetic transmission map of the NV avoided crossing.
-
-    The field window is centered on the actual crossing of the computed
-    transition curve with the cavity so the anticrossing sits inside the map.
-    """
-    res = res if res is not None else resonator_mode()
-    b_star = nv_crossing(res.omega_r)
-    b_grid = np.linspace(b_star - b_halfwidth, b_star + b_halfwidth, b_points)
-    omega_grid = np.linspace(
-        res.omega_r - omega_halfwidth, res.omega_r + omega_halfwidth, omega_points
-    )
-    return spin_line_map("nv", B110, AXIS_111, b_grid, omega_grid, res, linewidth, g_ens)
+    """Synthetic transmission map of the NV avoided crossing."""
+    window = (b_halfwidth, b_points, omega_halfwidth, omega_points)
+    return _anticrossing_map("nv", 0, g_ens, linewidth, res, window)
 
 
 def p1_transition_frequency(b_mt, line_index):
@@ -111,19 +137,12 @@ def p1_transition_frequency(b_mt, line_index):
     projection: the hyperfine ordering flips sign between the two electron
     manifolds.
     """
-    if line_index not in (0, 1, 2):
-        raise ValueError("line_index must be 0, 1 or 2")
-    vals = np.linalg.eigvalsh(spin_models.build_p1_hamiltonian(b_mt * B001, AXIS_111))
-    lo, hi = LINE_PAIRS["p1"][line_index]
-    return float(vals[hi] - vals[lo])
+    return _line_frequency("p1", b_mt, line_index)
 
 
-def p1_crossings(omega_r=OMEGA_R_MHZ, bracket=(150.0, 230.0)):
+def p1_crossings(omega_r=OMEGA_R_MHZ, bracket=_SETUP["p1"][1]):
     """The three P1 crossing fields (m_I = +1, 0, -1 order), ascending in B."""
-    return [
-        cavity_qed.crossing_field(lambda b, j=j: p1_transition_frequency(b, j), omega_r, bracket)
-        for j in range(3)
-    ]
+    return [_crossing("p1", j, omega_r, bracket) for j in range(3)]
 
 
 def p1_anticrossing_map(
@@ -141,17 +160,8 @@ def p1_anticrossing_map(
     The frequency window is narrow enough (hyperfine spacing is ~100 MHz)
     that the other two lines never enter; each anticrossing is fit alone.
     """
-    res = res if res is not None else resonator_mode()
-    b_star = cavity_qed.crossing_field(
-        lambda b: p1_transition_frequency(b, line_index), res.omega_r, (150.0, 230.0)
-    )
-    b_grid = np.linspace(b_star - b_halfwidth, b_star + b_halfwidth, b_points)
-    omega_grid = np.linspace(
-        res.omega_r - omega_halfwidth, res.omega_r + omega_halfwidth, omega_points
-    )
-    return spin_line_map(
-        "p1", B001, AXIS_111, b_grid, omega_grid, res, linewidth, g_ens, lines=(line_index,)
-    )
+    window = (b_halfwidth, b_points, omega_halfwidth, omega_points)
+    return _anticrossing_map("p1", line_index, g_ens, linewidth, res, window)
 
 
 def coupling_budget(
@@ -212,16 +222,8 @@ def cc_for_qext(q_ext_combined, z0=50.0):
 
 def loop_gap_trace(elems, span_widths=16.0, n_points=1601):
     """(frequency grid MHz, complex S21) around the circuit resonance."""
-    f0, q_int, q_e1, q_e2 = circuit_model.q_decomposition(
-        circuit_model.CircuitElements(
-            elems.l, elems.c, elems.r_loss, elems.cc1, elems.cc2, 0.0, elems.z0
-        )
-    )
-    inv_ql = 1.0 / q_int
-    for q in (q_e1, q_e2):
-        if np.isfinite(q):
-            inv_ql += 1.0 / q
-    width = f0 * inv_ql
+    f0, q_int, q_e1, q_e2 = circuit_model.q_decomposition(replace(elems, cx=0.0))
+    width = f0 * (1.0 / q_int + 1.0 / q_e1 + 1.0 / q_e2)  # an uncoupled port adds 1/inf = 0
     grid = np.linspace(f0 - 0.5 * span_widths * width, f0 + 0.5 * span_widths * width, n_points)
     return grid, circuit_model.loop_gap_s21(grid, elems)
 

@@ -418,13 +418,20 @@ def _map_from_csv(path):
         block = data[i * n_w : (i + 1) * n_w]
         if not np.array_equal(block[:, 1], omega_axis) or not np.all(block[:, 0] == b_axis[i]):
             raise CsvError(f"{path}: line {2 + i * n_w}: inconsistent grid block")
-    values = mag * np.exp(1j * arg)
-    return cavity_qed.SpectrumMap(b_axis, omega_axis, values)
+    return _checked(path, cavity_qed.SpectrumMap, b_axis, omega_axis, mag * np.exp(1j * arg))
 
 
 def _trace_from_csv(path):
     data = _read_csv(path, ("f_MHz", "S21_mag"))
-    return fitting.Spectrum1D(data[:, 0], data[:, 1])
+    return _checked(path, fitting.Spectrum1D, data[:, 0], data[:, 1])
+
+
+def _checked(path, cls, *fields):
+    """cls(*fields), its rejection of the file's data raised as a CsvError."""
+    try:
+        return cls(*fields)
+    except ValueError as exc:
+        raise CsvError(f"{path}: {exc}") from None
 
 
 def _synthesize_trace(cfg, noise):

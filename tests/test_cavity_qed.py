@@ -247,22 +247,49 @@ def test_s21_map_rows_match_spectra():
     res = cq.ResonatorMode(OMEGA_R, 3.0, 0.5, 0.5)
     b_grid = np.array([70.0, 75.0, 80.0])
     omega_grid = np.linspace(OMEGA_R - 30, OMEGA_R + 30, 101)
-    curves = [[cq.SpinLine(OMEGA_R + 10 * (b - 75.0), 2.0, 8.0)] for b in b_grid]
-    smap = cq.s21_map(b_grid, omega_grid, res, curves)
+    line = cq.SpinLine(OMEGA_R + 10 * (b_grid - 75.0), 2.0, 8.0)
+    smap = cq.s21_map(b_grid, omega_grid, res, [line])
     assert smap.values.shape == (3, 101)
-    row1 = cq.s21_spectrum(omega_grid, res, curves[1])
+    row1 = cq.s21_spectrum(omega_grid, res, [cq.SpinLine(line.omega_s[1], 2.0, 8.0)])
     assert np.array_equal(smap.values[1], row1)
     with pytest.raises(ValueError):
-        cq.s21_map(b_grid, omega_grid, res, curves[:2])
+        cq.s21_map(b_grid, omega_grid, res, [cq.SpinLine(line.omega_s[:2], 2.0, 8.0)])
+    with pytest.raises(ValueError):  # one frequency for the whole sweep
+        cq.s21_map(b_grid, omega_grid, res, [cq.SpinLine(OMEGA_R, 2.0, 8.0)])
 
 
 def test_s21_map_zero_coupling_is_field_independent():
     res = cq.ResonatorMode(OMEGA_R, 3.0, 0.5, 0.5)
     b_grid = np.linspace(60, 90, 7)
     omega_grid = np.linspace(OMEGA_R - 30, OMEGA_R + 30, 51)
-    curves = [[cq.SpinLine(OMEGA_R + 5 * b, 2.0, 0.0)] for b in b_grid]
-    smap = cq.s21_map(b_grid, omega_grid, res, curves)
+    smap = cq.s21_map(b_grid, omega_grid, res, [cq.SpinLine(OMEGA_R + 5 * b_grid, 2.0, 0.0)])
     assert np.allclose(smap.values, smap.values[0], rtol=1e-12)
+
+
+def test_s21_map_two_lines_rows_are_spectra_bitwise():
+    res = cq.ResonatorMode(OMEGA_R, 3.0, 0.5, 0.7)
+    b_grid = np.linspace(60.0, 90.0, 13)
+    omega_grid = np.linspace(OMEGA_R - 40, OMEGA_R + 40, 201)
+    lines = [
+        cq.SpinLine(OMEGA_R + 3.0 * (b_grid - 75.0), 2.0, 8.0),
+        cq.SpinLine(OMEGA_R + 20.0 - 2.5 * (b_grid - 75.0), 1.5, 5.0),
+    ]
+    smap = cq.s21_map(b_grid, omega_grid, res, lines)
+    for i in range(b_grid.size):
+        row = [cq.SpinLine(ln.omega_s[i], ln.gamma, ln.g_ens) for ln in lines]
+        assert np.array_equal(smap.values[i], cq.s21_spectrum(omega_grid, res, row))
+
+
+def test_s21_map_without_lines_is_bare_cavity_on_every_row():
+    res = cq.ResonatorMode(OMEGA_R, 3.0, 0.5, 0.5)
+    b_grid = np.linspace(60.0, 90.0, 5)
+    omega_grid = np.linspace(OMEGA_R - 30, OMEGA_R + 30, 51)
+    smap = cq.s21_map(b_grid, omega_grid, res, [])
+    assert smap.values.shape == (5, 51)
+    assert smap.values.flags.writeable
+    assert np.array_equal(smap.values, np.tile(cq.s21_spectrum(omega_grid, res, []), (5, 1)))
+    smap.values[0, 0] = 0.0
+    assert smap.values[1, 0] != 0.0
 
 
 # ---------------------------------------------------------------- crossings
@@ -306,9 +333,7 @@ def test_p1_map_lines_match_sorted_levels(line_index):
     # crossing search from levels sorted at each field: both must agree
     g = 8.8
     smap = ex.p1_anticrossing_map(line_index, g)
-    lines = [
-        [cq.SpinLine(ex.p1_transition_frequency(b, line_index), ex.MAP_LINEWIDTH_MHZ, g)]
-        for b in smap.b_axis
-    ]
+    freqs = [ex.p1_transition_frequency(b, line_index) for b in smap.b_axis]
+    lines = [cq.SpinLine(np.array(freqs), ex.MAP_LINEWIDTH_MHZ, g)]
     ref = cq.s21_map(smap.b_axis, smap.omega_axis, ex.resonator_mode(), lines)
     np.testing.assert_allclose(smap.values, ref.values, rtol=1e-9)

@@ -606,6 +606,22 @@ def test_level_curve_assignment_fallback_matches_per_step_assignment():
     assert not np.array_equal(c.energies[-1], [0.0, 1.0, 2.0])  # levels were relabelled
 
 
+def test_level_curve_assignment_fallback_on_a_physical_p1_sweep():
+    # P1 along [001] from 0.5 mT: at the first step two rows of the overlap
+    # peak in the same column, and the best assignment still keeps every
+    # overlap near 0.58, so the sweep tracks instead of raising
+    grid = np.linspace(0.5, 300.0, 61)
+    vecs = sm.eigensystem(sm.build_p1_hamiltonian(grid[:2, None] * B001, AXIS_111)).vectors
+    overlap = np.abs(vecs[0].conj().T @ vecs[1])
+    assert len(set(overlap.argmax(axis=1))) < 6
+    row, col = linear_sum_assignment(-overlap)
+    assert overlap[row, col].min() >= 0.5
+    c = sm.level_curve("p1", [0, 0, 1], AXIS_111, grid)
+    energies, vectors = _lsa_tracked(lambda bvec: sm.build_p1_hamiltonian(bvec, AXIS_111), grid)
+    assert np.array_equal(c.energies, energies)
+    assert np.array_equal(c.vectors, vectors)
+
+
 def test_level_curve_diagonalizes_once(monkeypatch):
     calls = []
     eigh = np.linalg.eigh

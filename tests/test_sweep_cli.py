@@ -405,6 +405,30 @@ def test_fit_malformed_csv_exits_4(tmp_path, capsys):
     assert cli.main(["fit", "--config", cfgp, "--kind", "lorentzian", "--in", wrong]) == 4
 
 
+def _map_csv(b_values, f_values):
+    rows = [f"{b},{f},0.5,0.0" for b in b_values for f in f_values]
+    return "B_mT,f_MHz,S21_mag,S21_arg\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text, reason",
+    [
+        ("lorentzian", "f_MHz,S21_mag\n5389.0,0.2\n5390.0,-0.1\n5391.0,0.2\n",
+         "magnitudes must be non-negative (linear scale)"),
+        ("avoided_crossing", _map_csv((70.0, 71.0), (5390.0, 5390.0, 5389.0)),
+         "omega_axis must be strictly monotone"),
+        ("avoided_crossing", _map_csv((70.0, 72.0, 71.0), (5389.0, 5390.0)),
+         "b_axis must be strictly monotone"),
+    ],
+    ids=["negative_magnitude", "repeated_frequencies", "unordered_field_blocks"],
+)
+def test_fit_in_rejected_data_exits_4(tmp_path, capsys, kind, text, reason):
+    cfgp = write(tmp_path, "cfg.ini", NV_MAP)
+    path = write(tmp_path, "in.csv", text)
+    assert cli.main(["fit", "--config", cfgp, "--kind", kind, "--in", path]) == 4
+    assert capsys.readouterr().err == f"data error: {path}: {reason}\n"
+
+
 def test_missing_files_exit_4(tmp_path, capsys):
     cfgp = write(tmp_path, "cfg.ini", NV_MAP)
     assert cli.main(["levels", "--config", str(tmp_path / "absent.ini")]) == 4
