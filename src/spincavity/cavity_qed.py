@@ -16,6 +16,8 @@ from scipy.constants import mu_0 as MU_0
 LATTICE_A_MM = 0.3567e-6
 CARBON_SITES_PER_MM3 = 8.0 / LATTICE_A_MM**3
 
+CROSSING_TOL_MT = 1e-3  # width of the final bracket of crossing_field
+
 
 @dataclass(frozen=True)
 class ResonatorMode:
@@ -183,13 +185,13 @@ def s21_map(b_grid, omega_grid, res, lines):
     return SpectrumMap(b, omega, values)
 
 
-def crossing_field(transition_curve, omega_r, bracket, tol=1e-3):
+def crossing_field(transition_curve, omega_r, bracket):
     """Field at which a transition curve crosses the cavity, by bisection.
 
     :param transition_curve: callable B (mT) -> frequency (MHz), monotone on
         the bracket
     :param bracket: (b_lo, b_hi) with the crossing inside
-    :returns: crossing field to within tol mT
+    :returns: crossing field to within CROSSING_TOL_MT
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     f_lo = transition_curve(lo) - omega_r
@@ -200,7 +202,7 @@ def crossing_field(transition_curve, omega_r, bracket, tol=1e-3):
         return hi
     if np.sign(f_lo) == np.sign(f_hi):
         raise ValueError(f"no crossing of {omega_r:g} MHz inside [{lo:g}, {hi:g}] mT")
-    while hi - lo > tol:
+    while hi - lo > CROSSING_TOL_MT:
         mid = 0.5 * (lo + hi)
         f_mid = transition_curve(mid) - omega_r
         if f_mid == 0.0:

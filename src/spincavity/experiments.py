@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import cavity_qed, circuit_model, spin_models
+from . import cavity_qed, circuit_model, fitting, spin_models
 
 OMEGA_R_MHZ = 5390.0
 Q_INT = 1300.0
@@ -54,9 +54,15 @@ def resonator_mode(
     return cavity_qed.ResonatorMode(omega_r, omega_r / q_int, omega_r / q_ext1, omega_r / q_ext2)
 
 
-# per defect: field direction of the canonical sweep and the field bracket
-# (mT) that holds the crossings with the cavity
-_SETUP = {"nv": (B110, (40.0, 110.0)), "p1": (B001, (150.0, 230.0))}
+# per defect: field direction of the canonical sweep, the field bracket (mT)
+# that holds the crossings with the cavity, and the anticrossing map window
+# (b_halfwidth mT, b_points, omega_halfwidth MHz, omega_points); the P1
+# frequency window is narrow enough (hyperfine spacing is ~100 MHz) that
+# only the mapped line enters, so each anticrossing is fit alone
+_SETUP = {
+    "nv": (B110, (40.0, 110.0), (3.5, 57, 45.0, 541)),
+    "p1": (B001, (150.0, 230.0), (2.8, 45, 40.0, 481)),
+}
 
 
 def spin_line_map(defect, direction, axis, b_grid, omega_grid, res, linewidth, g_ens, lines=None):
@@ -84,21 +90,20 @@ def _line_frequency(defect, b_mt, line):
     return float(vals[hi] - vals[lo])
 
 
-def _crossing(defect, line, omega_r, bracket):
+def _crossing(defect, line, omega_r):
+    bracket = _SETUP[defect][1]
     return cavity_qed.crossing_field(lambda b: _line_frequency(defect, b, line), omega_r, bracket)
 
 
-def _anticrossing_map(defect, line, g_ens, linewidth, res, window):
-    """Map of one line around its crossing with the cavity.
+def _anticrossing_map(defect, line, g_ens, linewidth):
+    """Map of one line around its crossing with the default cavity.
 
-    window = (b_halfwidth, b_points, omega_halfwidth, omega_points); the
-    field window is centered on the crossing of the computed line with the
-    cavity, so the anticrossing sits inside the map.
+    The field window of _SETUP[defect] is centered on the crossing of the
+    computed line with the cavity, so the anticrossing sits inside the map.
     """
-    res = res if res is not None else resonator_mode()
-    b_half, b_points, w_half, w_points = window
-    direction, bracket = _SETUP[defect]
-    b_star = _crossing(defect, line, res.omega_r, bracket)
+    res = resonator_mode()
+    direction, _, (b_half, b_points, w_half, w_points) = _SETUP[defect]
+    b_star = _crossing(defect, line, res.omega_r)
     b_grid = np.linspace(b_star - b_half, b_star + b_half, b_points)
     omega_grid = np.linspace(res.omega_r - w_half, res.omega_r + w_half, w_points)
     return spin_line_map(
@@ -111,23 +116,14 @@ def nv_transition_frequency(b_mt):
     return _line_frequency("nv", b_mt, 0)
 
 
-def nv_crossing(omega_r=OMEGA_R_MHZ, bracket=_SETUP["nv"][1]):
+def nv_crossing(omega_r=OMEGA_R_MHZ):
     """Field where the NV transition meets the cavity, mT."""
-    return _crossing("nv", 0, omega_r, bracket)
+    return _crossing("nv", 0, omega_r)
 
 
-def nv_anticrossing_map(
-    g_ens=11.5,
-    linewidth=MAP_LINEWIDTH_MHZ,
-    res=None,
-    b_halfwidth=3.5,
-    b_points=57,
-    omega_halfwidth=45.0,
-    omega_points=541,
-):
-    """Synthetic transmission map of the NV avoided crossing."""
-    window = (b_halfwidth, b_points, omega_halfwidth, omega_points)
-    return _anticrossing_map("nv", 0, g_ens, linewidth, res, window)
+def nv_anticrossing_map(g_ens=11.5, linewidth=MAP_LINEWIDTH_MHZ):
+    """Synthetic transmission map of the NV avoided crossing, 57 fields x 541 frequencies."""
+    return _anticrossing_map("nv", 0, g_ens, linewidth)
 
 
 def p1_transition_frequency(b_mt, line_index):
@@ -140,28 +136,14 @@ def p1_transition_frequency(b_mt, line_index):
     return _line_frequency("p1", b_mt, line_index)
 
 
-def p1_crossings(omega_r=OMEGA_R_MHZ, bracket=_SETUP["p1"][1]):
+def p1_crossings(omega_r=OMEGA_R_MHZ):
     """The three P1 crossing fields (m_I = +1, 0, -1 order), ascending in B."""
-    return [_crossing("p1", j, omega_r, bracket) for j in range(3)]
+    return [_crossing("p1", j, omega_r) for j in range(3)]
 
 
-def p1_anticrossing_map(
-    line_index,
-    g_ens,
-    linewidth=MAP_LINEWIDTH_MHZ,
-    res=None,
-    b_halfwidth=2.8,
-    b_points=45,
-    omega_halfwidth=40.0,
-    omega_points=481,
-):
-    """Synthetic map of one of the three P1 anticrossings.
-
-    The frequency window is narrow enough (hyperfine spacing is ~100 MHz)
-    that the other two lines never enter; each anticrossing is fit alone.
-    """
-    window = (b_halfwidth, b_points, omega_halfwidth, omega_points)
-    return _anticrossing_map("p1", line_index, g_ens, linewidth, res, window)
+def p1_anticrossing_map(line_index, g_ens):
+    """Synthetic map of one of the three P1 anticrossings, 45 fields x 481 frequencies."""
+    return _anticrossing_map("p1", line_index, g_ens, MAP_LINEWIDTH_MHZ)
 
 
 def coupling_budget(
@@ -204,11 +186,12 @@ def loop_gap_elements(cc_ff, cx_ff=0.0):
     )
 
 
-def cc_for_qext(q_ext_combined, z0=50.0):
+def cc_for_qext(q_ext_combined):
     """Per-port coupling capacitance (fF) hitting a combined external Q.
 
-    Inverts the weak-coupling relation Q_ext,port = C_eff/(w0 z0 cc^2) with
-    both ports equal; solved iteratively since cc feeds back into C_eff.
+    Inverts the weak-coupling relation Q_ext,port = C_eff/(w0 Z0 cc^2) with
+    both ports equal and Z0 the circuit model's default port impedance
+    (50 Ohm); solved iteratively since cc feeds back into C_eff.
     """
     q_port = 2.0 * q_ext_combined
     l = LOOP_GAP_L_NH * 1e-9
@@ -216,29 +199,26 @@ def cc_for_qext(q_ext_combined, z0=50.0):
     for _ in range(40):
         c_eff = LOOP_GAP_C_PF * 1e-12 + 2.0 * cc
         w0 = 1.0 / np.sqrt(l * c_eff)
-        cc = np.sqrt(c_eff / (q_port * w0 * z0))
+        cc = np.sqrt(c_eff / (q_port * w0 * circuit_model.CircuitElements.z0))
     return cc * 1e15
 
 
-def loop_gap_trace(elems, span_widths=16.0, n_points=1601):
-    """(frequency grid MHz, complex S21) around the circuit resonance."""
+def loop_gap_trace(elems):
+    """(frequency grid MHz, complex S21), 1601 points over 16 loaded linewidths
+    around the circuit resonance."""
     f0, q_int, q_e1, q_e2 = circuit_model.q_decomposition(replace(elems, cx=0.0))
     width = f0 * (1.0 / q_int + 1.0 / q_e1 + 1.0 / q_e2)  # an uncoupled port adds 1/inf = 0
-    grid = np.linspace(f0 - 0.5 * span_widths * width, f0 + 0.5 * span_widths * width, n_points)
+    grid = np.linspace(f0 - 8.0 * width, f0 + 8.0 * width, 1601)
     return grid, circuit_model.loop_gap_s21(grid, elems)
 
 
-def lorentzian_q_trace(omega_r, q_int, q_ext, span_widths=16.0, n_points=2001):
-    """Ideal two-port trace with the stated quality factors, baseline zero."""
+def lorentzian_q_trace(omega_r, q_int, q_ext):
+    """Ideal two-port trace with the stated quality factors, baseline zero,
+    2001 points over 16 linewidths."""
     q_l = 1.0 / (1.0 / q_int + 1.0 / q_ext)
     fwhm = omega_r / q_l
-    amp = q_l / q_ext
-    grid = np.linspace(
-        omega_r - 0.5 * span_widths * fwhm, omega_r + 0.5 * span_widths * fwhm, n_points
-    )
-    hw = 0.5 * fwhm
-    mag = amp * hw**2 / ((grid - omega_r) ** 2 + hw**2)
-    return grid, mag
+    grid = np.linspace(omega_r - 8.0 * fwhm, omega_r + 8.0 * fwhm, 2001)
+    return grid, fitting.lorentzian_model(grid, omega_r, fwhm, q_l / q_ext, 0.0)
 
 
 def noisy_magnitude(mag, sigma, seed=0):

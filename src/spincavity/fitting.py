@@ -48,24 +48,20 @@ REL_STEP_TOL = 1e-8
 MAX_ITER = 200
 
 
-def _levmar(residual, jacobian, p0, max_iter=MAX_ITER, tol=REL_STEP_TOL):
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _levmar(residual, jacobian, p0):
     """Damped least squares; returns (params, rms, converged, iterations).
 
     Steps with non-finite cost (transient overflow in a model evaluation)
     count as rejected and only raise the damping, so warnings are silenced.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _levmar_loop(residual, jacobian, p0, max_iter, tol)
-
-
-def _levmar_loop(residual, jacobian, p0, max_iter, tol):
     p = np.asarray(p0, dtype=float).copy()
     r = residual(p)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     it = 0
-    while it < max_iter:
+    while it < MAX_ITER:
         it += 1
         jac = jacobian(p)
         a = jac.T @ jac
@@ -87,7 +83,7 @@ def _levmar_loop(residual, jacobian, p0, max_iter, tol):
                 lam = max(lam / 3.0, 1e-12)
                 stepped = True
                 rel = np.max(np.abs(delta) / np.maximum(np.abs(p), 1e-8))
-                if rel < tol:
+                if rel < REL_STEP_TOL:
                     converged = True
                 break
             lam *= 10.0

@@ -34,16 +34,11 @@ _UNIT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class HyperfineTensor:
-    """Axially symmetric hyperfine coupling.
-
-    axis is given in the crystal frame; None means the defect symmetry axis
-    itself, which is the case for both defects treated here (the nitrogen
-    sits along the bond).
-    """
+    """Hyperfine coupling, axially symmetric about the defect symmetry axis
+    (the nitrogen sits along the bond for both defects treated here)."""
 
     a_perp: float
     a_par: float
-    axis: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -155,13 +150,10 @@ def rotation_to_z(axis):
     return np.eye(3) + (s / r) * k + (1.0 - c / r) * (k @ k)
 
 
-def _hyperfine_matrix(hf, frame_rotation):
-    """3x3 coupling tensor in the defect frame."""
-    if hf.axis is None:
-        h = np.array([0.0, 0.0, 1.0])
-    else:
-        h = frame_rotation @ _unit_vector(hf.axis, "hyperfine axis")
-    return hf.a_perp * np.eye(3) + (hf.a_par - hf.a_perp) * np.outer(h, h)
+def _hyperfine_matrix(hf):
+    """3x3 coupling tensor a_perp I + (a_par - a_perp) z z^T in the defect
+    frame, z along the symmetry axis."""
+    return hf.a_perp * np.eye(3) + (hf.a_par - hf.a_perp) * np.diag([0.0, 0.0, 1.0])
 
 
 def _check_field(b_dc):
@@ -188,6 +180,8 @@ def _defect_operators(s):
 _OPERATORS = {"nv": _defect_operators(1.0), "p1": _defect_operators(0.5)}
 # number of levels of each defect's product space
 DIMENSION = {defect: ops[0][0].shape[0] for defect, ops in _OPERATORS.items()}
+# electron Sx in the product space, by level count: the drive of transition_spectrum
+_DRIVE = {DIMENSION[defect]: ops[0][0] for defect, ops in _OPERATORS.items()}
 
 
 @lru_cache(maxsize=64)
@@ -200,30 +194,19 @@ def _frame_terms(defect, axis, p):
     """
     rot = rotation_to_z(axis)
     _, si, szz, izz = _OPERATORS[defect]
-    a_mat = _hyperfine_matrix(p.hyperfine, rot)
+    a_mat = _hyperfine_matrix(p.hyperfine)
     terms = [a_mat[a, c] * si[a][c] for a in range(3) for c in range(3) if a_mat[a, c] != 0.0]
     if defect == "nv":
         terms = [p.d_zfs * szz] + terms + [p.quadrupole_p * izz]
     return rot, terms
 
 
-def _frame(defect, axis, p):
-    """_frame_terms, cached where the inputs can be a key.
-
-    rotation_to_z validates the axis, so only valid axes enter the cache.
-    """
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape == (3,):
-        try:
-            return _frame_terms(defect, tuple(axis.tolist()), p)
-        except TypeError:  # unhashable params, e.g. a hyperfine axis given as a list
-            pass
-    return _frame_terms.__wrapped__(defect, axis, p)
-
-
 def _build(defect, b_dc, axis, p):
     b = _check_field(b_dc)
-    rot, terms = _frame(defect, axis, p)
+    if np.shape(axis) != (3,):
+        raise ValueError("axis must be a finite 3-vector")
+    # rotation_to_z rejects the rest, so only valid axes enter the cache
+    rot, terms = _frame_terms(defect, tuple(np.asarray(axis, dtype=float).tolist()), p)
     # a stacked matmul rounds each row exactly as rot @ b does
     bf = (rot @ b[..., None])[..., 0]
     s_ops = _OPERATORS[defect][0]
@@ -279,29 +262,23 @@ def eigensystem(h):
     return EigenSystem(vals, vecs)
 
 
-def _default_drive(dim):
-    # electron Sx in the product space, inferred from the dimension
-    for s_ops, *_ in _OPERATORS.values():
-        if s_ops[0].shape[0] == dim:
-            return s_ops[0]
-    raise ValueError(f"cannot infer a drive operator for dimension {dim}; pass one")
+def transition_spectrum(eig, initial_levels=(0,), weight_floor=1e-6):
+    """ESR lines out of the given initial levels of an NV (9-level) or P1
+    (6-level) eigensystem.
 
-
-def transition_spectrum(eig, drive=None, initial_levels=(0,), weight_floor=1e-6):
-    """ESR lines out of the given initial levels under an AC drive operator.
-
-    The drive defaults to the electron Sx in the defect frame (the AC field is
+    The drive is the electron Sx in the defect frame (the AC field is
     transverse for the geometries of interest).  Frequencies are reported as
     |E_f - E_i| so lines are non-negative regardless of which level lies
-    higher; weight is the squared matrix element |<f|drive|i>|^2.
+    higher; weight is the squared matrix element |<f|Sx|i>|^2.
     """
     dim = eig.values.size
-    d = _default_drive(dim) if drive is None else np.asarray(drive, dtype=complex)
+    if dim not in _DRIVE:
+        raise ValueError(f"expected a 9- or 6-level eigensystem, got {dim} levels")
     lines = []
     for i in initial_levels:
         if not 0 <= i < dim:
             raise IndexError(f"initial level {i} out of range for dimension {dim}")
-        amps = eig.vectors.conj().T @ (d @ eig.vectors[:, i])
+        amps = eig.vectors.conj().T @ (_DRIVE[dim] @ eig.vectors[:, i])
         for f in range(dim):
             if f == i:
                 continue

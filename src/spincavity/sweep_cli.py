@@ -399,11 +399,20 @@ def _read_csv(path, expected_header):
             raise CsvError(f"{path}: line {n}: non-numeric field")
     if not rows:
         raise CsvError(f"{path}: no data rows")
-    return np.array(rows)
+    data = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:  # name the line of the first bad row; blank lines hold no row
+        n = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][bad[0]]
+        raise CsvError(f"{path}: line {n}: non-finite field")
+    return data
 
 
 def _map_from_csv(path):
     data = _read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
+    # a negative magnitude would enter mag * exp(i arg) as a phase flip
+    negative = np.flatnonzero(data[:, 2] < 0)
+    if negative.size:
+        raise CsvError(f"{path}: line {2 + negative[0]}: negative S21_mag")
     b_vals = data[:, 0]
     b_axis, first_index = np.unique(b_vals, return_index=True)
     b_axis = b_vals[np.sort(first_index)]

@@ -1,21 +1,25 @@
-"""The names the benchmark's tracer wraps still exist in the package.
+"""The names and calls the benchmark relies on still work in the package.
 
 bench/tracer.py replaces functions by name for a traced run (`bench/run.py
---trace 1`).  A deletion or rename that would break it fails here, without
-running a workload.
+--trace 1`), and bench/workloads.py and bench/baseline.py call the package
+with fixed signatures.  A deletion, rename or signature change that would
+break them fails here, without running a workload.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from spincavity import spin_models
+import numpy as np
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from spincavity import spin_models, sweep_cli
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,7 +28,7 @@ def _tracer():
 def test_every_traced_name_is_a_callable_of_its_module():
     missing = [
         f"{module}.{name}"
-        for module, names in _tracer().TRACED.items()
+        for module, names in _load("tracer").TRACED.items()
         for name in names
         if not callable(getattr(importlib.import_module(f"spincavity.{module}"), name, None))
     ]
@@ -35,3 +39,19 @@ def test_every_builder_is_a_spin_models_attribute():
     # the tracer re-binds each _BUILDERS entry to the attribute of that name
     for builder in spin_models._BUILDERS.values():
         assert getattr(spin_models, builder.__name__) is builder
+
+
+def test_fits_workload_builds_its_inputs(monkeypatch):
+    # calls nv_anticrossing_map(g_ens=...), p1_anticrossing_map(j, g),
+    # cc_for_qext, loop_gap_elements and loop_gap_trace as a bench run does
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads.py imports bench/reference.py
+    inputs = _load("workloads").Fits().build_inputs(0)
+    assert len(inputs["maps"]) == 12
+    assert len(inputs["traces"]) == 9
+
+
+def test_synthesize_map_takes_the_baseline_arguments():
+    # bench/baseline.py times _synthesize_map(cfg, 0.0, 1); the third argument is ignored
+    cfg = sweep_cli.parse_config((ROOT / "configs" / "p1_20ppm_b001.ini").read_text())
+    smap = sweep_cli._synthesize_map(cfg, 0.0, 1)
+    assert np.array_equal(smap.values, sweep_cli._synthesize_map(cfg, 0.0).values)

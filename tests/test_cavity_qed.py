@@ -327,6 +327,19 @@ def test_p1_transition_ordering():
         ex.p1_transition_frequency(190.0, 3)
 
 
+def test_anticrossing_map_windows():
+    # each map is centred on its line's crossing with the default cavity
+    smap = ex.nv_anticrossing_map()
+    assert smap.values.shape == (57, 541)
+    assert np.isclose(smap.b_axis.mean(), ex.nv_crossing(), rtol=0, atol=1e-9)
+    assert np.isclose(smap.omega_axis.mean(), ex.OMEGA_R_MHZ, rtol=0, atol=1e-9)
+    for j, b_star in enumerate(ex.p1_crossings()):
+        smap = ex.p1_anticrossing_map(j, 8.8)
+        assert smap.values.shape == (45, 481)
+        assert np.isclose(smap.b_axis.mean(), b_star, rtol=0, atol=1e-9)
+        assert np.isclose(smap.omega_axis.mean(), ex.OMEGA_R_MHZ, rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("line_index", [0, 1, 2])
 def test_p1_map_lines_match_sorted_levels(line_index):
     # the map takes its lines from levels tracked along the sweep, the

@@ -410,6 +410,21 @@ def _map_csv(b_values, f_values):
     return "B_mT,f_MHz,S21_mag,S21_arg\n" + "\n".join(rows) + "\n"
 
 
+def _spoilt_csv(kind, line, column, value):
+    """A clean `fit --kind kind --in` CSV (a Lorentzian trace, or the NV map)
+    with one field of one line replaced."""
+    if kind == "avoided_crossing":
+        smap = ex.nv_anticrossing_map()
+        b, f = np.meshgrid(smap.b_axis, smap.omega_axis, indexing="ij")
+        header = "B_mT,f_MHz,S21_mag,S21_arg"
+        columns = (b, f, np.abs(smap.values), np.angle(smap.values))
+    else:
+        header, columns = "f_MHz,S21_mag", ex.lorentzian_q_trace(5390.0, 1300.0, 3500.0)
+    rows = [[f"{x:.10g}" for x in row] for row in zip(*(np.ravel(c) for c in columns))]
+    rows[line - 2][column] = value
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
 @pytest.mark.parametrize(
     "kind, text, reason",
     [
@@ -419,8 +434,18 @@ def _map_csv(b_values, f_values):
          "omega_axis must be strictly monotone"),
         ("avoided_crossing", _map_csv((70.0, 72.0, 71.0), (5389.0, 5390.0)),
          "b_axis must be strictly monotone"),
+        ("lorentzian", _spoilt_csv("lorentzian", 1000, 1, "nan"), "line 1000: non-finite field"),
+        ("fano", _spoilt_csv("fano", 1000, 1, "nan"), "line 1000: non-finite field"),
+        ("avoided_crossing", _spoilt_csv("avoided_crossing", 700, 2, "inf"),
+         "line 700: non-finite field"),
+        ("avoided_crossing", _spoilt_csv("avoided_crossing", 700, 2, "-0.5"),
+         "line 700: negative S21_mag"),
+        ("lorentzian", "f_MHz,S21_mag\n5389.0,0.2\n\n5390.0,inf\n5391.0,0.2\n",
+         "line 4: non-finite field"),
     ],
-    ids=["negative_magnitude", "repeated_frequencies", "unordered_field_blocks"],
+    ids=["negative_magnitude", "repeated_frequencies", "unordered_field_blocks",
+         "nan_in_trace_lorentzian", "nan_in_trace_fano", "inf_in_map", "negative_map_magnitude",
+         "inf_after_a_blank_line"],
 )
 def test_fit_in_rejected_data_exits_4(tmp_path, capsys, kind, text, reason):
     cfgp = write(tmp_path, "cfg.ini", NV_MAP)
