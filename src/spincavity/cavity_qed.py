@@ -91,6 +91,8 @@ class SpectrumMap:
                 raise ValueError(f"{name} must be strictly monotone")
         if self.values.shape != (b.size, w.size):
             raise ValueError("values must have shape (len(b_axis), len(omega_axis))")
+        if not all(np.isfinite(a).all() for a in (b, w, self.values)):
+            raise ValueError("b_axis, omega_axis and values must be finite")
 
 
 def vacuum_brms(omega_r, mode_volume):

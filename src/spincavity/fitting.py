@@ -32,6 +32,8 @@ class Spectrum1D:
             raise ValueError("omega and magnitude must be 1d arrays of equal length")
         if np.any(m < 0):
             raise ValueError("magnitudes must be non-negative (linear scale)")
+        if not (np.isfinite(w).all() and np.isfinite(m).all()):
+            raise ValueError("omega and magnitude must be finite")
         object.__setattr__(self, "omega", w)
         object.__setattr__(self, "magnitude", m)
 

@@ -71,7 +71,14 @@ class ResonatorConfig:
     q_ext1: float = _key(2.0 * experiments.Q_EXT_MIN, lo=1e-9)
     q_ext2: float = _key(2.0 * experiments.Q_EXT_MIN, lo=1e-9)
     mode_volume_mm3: float = _key(experiments.MODE_VOLUME_MM3, lo=1e-12)
-    circuit: circuit_model.CircuitElements | None = None  # keys in _CIRCUIT_KEYS
+    l_nh: float | None = _key(None)  # circuit mode: l_nh to cc2_ff are required together
+    c_pf: float | None = _key(None)
+    r_ohm: float | None = _key(None)
+    cc1_ff: float | None = _key(None)
+    cc2_ff: float | None = _key(None)
+    cx_ff: float | None = _key(None)
+    z0_ohm: float | None = _key(None)
+    circuit: circuit_model.CircuitElements | None = None  # built from the circuit keys
 
 
 @dataclass(frozen=True)
@@ -92,16 +99,8 @@ class ExperimentConfig:
     sweep: SweepConfig
 
 
-# [resonator] key -> CircuitElements field; the first five are required together
-_CIRCUIT_KEYS = {
-    "l_nh": "l",
-    "c_pf": "c",
-    "r_ohm": "r_loss",
-    "cc1_ff": "cc1",
-    "cc2_ff": "cc2",
-    "cx_ff": "cx",
-    "z0_ohm": "z0",
-}
+# [resonator] keys of the CircuitElements fields, in their order
+_CIRCUIT_KEYS = ("l_nh", "c_pf", "r_ohm", "cc1_ff", "cc2_ff", "cx_ff", "z0_ohm")
 _SECTIONS = {"sample": SampleConfig, "resonator": ResonatorConfig, "sweep": SweepConfig}
 _NOUNS = {float: "a number", int: "an integer"}  # parse errors of the built-in parsers
 
@@ -122,13 +121,10 @@ def _value(section, key, raw, parse=float, lo=None, hi=None):
     return v
 
 
-def _parse_section(section, items, extra=()):
-    """Keyword arguments of the section's dataclass from its INI items.
-
-    `extra` names keys the section accepts that its dataclass does not hold.
-    """
+def _parse_section(section, items):
+    """Keyword arguments of the section's dataclass from its INI items."""
     schema = _schema(_SECTIONS[section])
-    allowed = {f.name for f in schema}.union(extra)
+    allowed = {f.name for f in schema}
     for key in items:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in section [{section}]")
@@ -141,22 +137,23 @@ def _parse_section(section, items, extra=()):
     return values
 
 
-def _parse_circuit(items):
-    if not any(k in items for k in _CIRCUIT_KEYS):
+def _parse_circuit(values):
+    """CircuitElements from the parsed [resonator] values, None without circuit keys.
+
+    The optional keys left out are filled into `values` with their defaults.
+    """
+    if not any(k in values for k in _CIRCUIT_KEYS):
         return None
-    missing = [k for k in list(_CIRCUIT_KEYS)[:5] if k not in items]
+    missing = [k for k in _CIRCUIT_KEYS[:5] if k not in values]
     if missing:
         raise ConfigError(
             "missing required circuit key(s) " + ", ".join(f"'{k}'" for k in missing)
             + " in section [resonator] (circuit mode)"
         )
-    elements = {
-        attr: _value("resonator", key, items[key])
-        for key, attr in _CIRCUIT_KEYS.items()
-        if key in items
-    }
+    for key, f in zip(_CIRCUIT_KEYS, fields(circuit_model.CircuitElements)):
+        values.setdefault(key, f.default)
     try:
-        return circuit_model.CircuitElements(**elements)
+        return circuit_model.CircuitElements(*(values[k] for k in _CIRCUIT_KEYS))
     except ValueError as exc:
         raise ConfigError(f"invalid circuit elements in [resonator]: {exc}")
 
@@ -191,9 +188,9 @@ def parse_config(text):
 
     resonator = None
     if cp.has_section("resonator"):
-        items = dict(cp.items("resonator"))
-        values = _parse_section("resonator", items, extra=_CIRCUIT_KEYS)
-        resonator = ResonatorConfig(**values, circuit=_parse_circuit(items))
+        values = _parse_section("resonator", dict(cp.items("resonator")))
+        circuit = _parse_circuit(values)
+        resonator = ResonatorConfig(**values, circuit=circuit)
 
     items = dict(cp.items("sweep")) if cp.has_section("sweep") else {}
     sweep = SweepConfig(**_parse_section("sweep", items))
@@ -220,9 +217,6 @@ def dump_config(cfg):
             v = getattr(part, f.name)
             if v is not None:
                 lines.append(f"{f.name} = {_text(v)}")
-        circuit = getattr(part, "circuit", None)
-        if circuit is not None:
-            lines += [f"{k} = {_text(getattr(circuit, a))}" for k, a in _CIRCUIT_KEYS.items()]
         lines.append("")
     return "\n".join(lines)
 
@@ -296,8 +290,9 @@ def _write(out_path, text):
 
 
 def _write_csv(out_path, header, rows):
-    lines = [header] + [",".join(f"{x:.10g}" for x in row) for row in rows]
-    _write(out_path, "\n".join(lines) + "\n")
+    """One line per row tuple; '%.10g' % x is f"{x:.10g}" for floats and ints."""
+    fmt = ",".join(["%.10g"] * (header.count(",") + 1))
+    _write(out_path, "\n".join([header] + [fmt % row for row in rows]) + "\n")
 
 
 def cmd_levels(cfg, args):
@@ -306,7 +301,7 @@ def cmd_levels(cfg, args):
     grid = _b_grid(cfg.sweep)
     curves = spin_models.level_curve(sample.defect.lower(), direction, axis, grid)
     header = "B_mT," + ",".join(f"E{k}_MHz" for k in range(curves.energies.shape[1]))
-    _write_csv(args.out, header, ([b, *e] for b, e in zip(grid, curves.energies)))
+    _write_csv(args.out, header, zip(grid, *curves.energies.T))
     return 0
 
 
@@ -373,7 +368,13 @@ def cmd_budget(cfg, args):
     return 0
 
 
+def _line_number(lines, row):
+    """File line of data row `row` of a CSV read as `lines`; blank lines hold no row."""
+    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
+
+
 def _read_csv(path, expected_header):
+    """The data rows as a float array, and the file's lines to name a bad row by."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -401,18 +402,17 @@ def _read_csv(path, expected_header):
         raise CsvError(f"{path}: no data rows")
     data = np.array(rows)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:  # name the line of the first bad row; blank lines hold no row
-        n = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][bad[0]]
-        raise CsvError(f"{path}: line {n}: non-finite field")
-    return data
+    if bad.size:
+        raise CsvError(f"{path}: line {_line_number(lines, bad[0])}: non-finite field")
+    return data, lines
 
 
 def _map_from_csv(path):
-    data = _read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
+    data, lines = _read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
     # a negative magnitude would enter mag * exp(i arg) as a phase flip
     negative = np.flatnonzero(data[:, 2] < 0)
     if negative.size:
-        raise CsvError(f"{path}: line {2 + negative[0]}: negative S21_mag")
+        raise CsvError(f"{path}: line {_line_number(lines, negative[0])}: negative S21_mag")
     b_vals = data[:, 0]
     b_axis, first_index = np.unique(b_vals, return_index=True)
     b_axis = b_vals[np.sort(first_index)]
@@ -426,12 +426,12 @@ def _map_from_csv(path):
     for i in range(n_b):
         block = data[i * n_w : (i + 1) * n_w]
         if not np.array_equal(block[:, 1], omega_axis) or not np.all(block[:, 0] == b_axis[i]):
-            raise CsvError(f"{path}: line {2 + i * n_w}: inconsistent grid block")
+            raise CsvError(f"{path}: line {_line_number(lines, i * n_w)}: inconsistent grid block")
     return _checked(path, cavity_qed.SpectrumMap, b_axis, omega_axis, mag * np.exp(1j * arg))
 
 
 def _trace_from_csv(path):
-    data = _read_csv(path, ("f_MHz", "S21_mag"))
+    data, _ = _read_csv(path, ("f_MHz", "S21_mag"))
     return _checked(path, fitting.Spectrum1D, data[:, 0], data[:, 1])
 
 
@@ -457,63 +457,35 @@ def _synthesize_trace(cfg, noise):
     return fitting.Spectrum1D(grid, mag)
 
 
-def _report_lines(title, params, result):
-    out = [f"# {title}"]
-    out += [f"# residual rms {result.residual_rms:.3e}, {result.iterations} iterations"]
-    out += [f"{k} = {v:.8g}" for k, v in params.items()]
-    out.append(f"residual_rms = {result.residual_rms:.8g}")
-    out.append(f"converged = {'true' if result.converged else 'false'}")
-    out.append(f"iterations = {result.iterations}")
-    return out
+# unit suffix of a fitted parameter's report key; parameters missing here have none
+_UNITS = {
+    "g_ens": "_mhz", "omega_r": "_mhz", "center": "_mhz", "fwhm": "_mhz", "width": "_mhz",
+    "b_star": "_mt", "slope": "_mhz_per_mt",
+}
 
 
 def cmd_fit(cfg, args):
     if args.kind == "avoided_crossing":
-        smap = _map_from_csv(args.infile) if args.infile else _synthesize_map(cfg, args.noise)
-        result = fitting.fit_avoided_crossing(smap)
-        p = result.params
-        text = _report_lines(
-            "avoided-crossing fit",
-            {
-                "g_ens_mhz": p["g_ens"],
-                "omega_r_mhz": p["omega_r"],
-                "b_star_mt": p["b_star"],
-                "slope_mhz_per_mt": p["slope"],
-            },
-            result,
-        )
+        data = _map_from_csv(args.infile) if args.infile else _synthesize_map(cfg, args.noise)
     else:
-        spec = _trace_from_csv(args.infile) if args.infile else _synthesize_trace(cfg, args.noise)
-        if args.kind == "lorentzian":
-            result = fitting.fit_lorentzian(spec)
-            p = result.params
-            named = {
-                "center_mhz": p["center"],
-                "fwhm_mhz": p["fwhm"],
-                "amplitude": p["amplitude"],
-                "baseline": p["baseline"],
-                "q_loaded": p["center"] / p["fwhm"],
-            }
-            peak = p["amplitude"] + p["baseline"]
-            if 0.0 < peak < 1.0:
-                qs = fitting.extract_qs(result, peak)
-                named["q_ext"] = qs["q_ext"]
-                named["q_int"] = qs["q_int"]
-            text = _report_lines("lorentzian fit", named, result)
-        else:
-            result = fitting.fit_fano(spec)
-            p = result.params
-            text = _report_lines(
-                "fano fit",
-                {
-                    "center_mhz": p["center"],
-                    "width_mhz": p["width"],
-                    "q_asym": p["q_asym"],
-                    "amplitude": p["amplitude"],
-                    "baseline": p["baseline"],
-                },
-                result,
-            )
+        data = _trace_from_csv(args.infile) if args.infile else _synthesize_trace(cfg, args.noise)
+    result = getattr(fitting, f"fit_{args.kind}")(data)  # at call time: bench/tracer.py swaps it
+    p = result.params
+    report = {k + _UNITS.get(k, ""): v for k, v in p.items()}
+    if args.kind == "lorentzian":
+        report["q_loaded"] = p["center"] / p["fwhm"]
+        peak = p["amplitude"] + p["baseline"]
+        if 0.0 < peak < 1.0:
+            qs = fitting.extract_qs(result, peak)
+            report["q_ext"], report["q_int"] = qs["q_ext"], qs["q_int"]
+    text = [
+        f"# {args.kind.replace('_', '-')} fit",
+        f"# residual rms {result.residual_rms:.3e}, {result.iterations} iterations",
+        *(f"{k} = {v:.8g}" for k, v in report.items()),
+        f"residual_rms = {result.residual_rms:.8g}",
+        f"converged = {'true' if result.converged else 'false'}",
+        f"iterations = {result.iterations}",
+    ]
     _write(args.out, "\n".join(text) + "\n")
     return 0 if result.converged else 3
 
@@ -545,39 +517,31 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, helptext, noise=False, threads=False, fit=False):
-        p = sub.add_parser(name, help=helptext)
+    def add(name, func, helptext, synth=False, parent=sub):
+        p = parent.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if noise:
+        if synth:
             p.add_argument("--noise", type=float, default=0.0, metavar="SIGMA",
                            help="additive Gaussian noise on |S21|, seeded from the config")
-        if threads:
             p.add_argument("--threads", type=int, default=1, metavar="N",
                            help="accepted and ignored; maps are built in one thread")
-        if fit:
-            p.add_argument("--kind", default="avoided_crossing",
-                           choices=("avoided_crossing", "lorentzian", "fano"))
-            p.add_argument("--in", dest="infile", default=None,
-                           help="CSV input (otherwise synthesized from the config)")
         p.set_defaults(func=func)
         return p
 
     add("levels", cmd_levels, "adiabatically tracked energy levels vs field")
     add("transitions", cmd_transitions, "ESR lines and weights vs field")
-    add("map", cmd_map, "transmission map over the (B, f) sweep grid",
-        noise=True, threads=True)
-    add("fit", cmd_fit, "fit a map or trace, synthetic or from CSV",
-        noise=True, threads=True, fit=True)
+    add("map", cmd_map, "transmission map over the (B, f) sweep grid", synth=True)
+    fit = add("fit", cmd_fit, "fit a map or trace, synthetic or from CSV", synth=True)
+    fit.add_argument("--kind", default="avoided_crossing",
+                     choices=("avoided_crossing", "lorentzian", "fano"))
+    fit.add_argument("--in", dest="infile", default=None,
+                     help="CSV input (otherwise synthesized from the config)")
     add("budget", cmd_budget, "coupling-constant budget report")
     add("circuit", cmd_circuit, "lumped-element resonator trace and Q values")
-
-    pc = sub.add_parser("config", help="configuration utilities")
-    pcsub = pc.add_subparsers(dest="subcommand", required=True)
-    pdump = pcsub.add_parser("dump", help="echo the parsed config in canonical form")
-    pdump.add_argument("--config", required=True)
-    pdump.add_argument("--out", default=None)
-    pdump.set_defaults(func=cmd_config_dump)
+    config = sub.add_parser("config", help="configuration utilities")
+    add("dump", cmd_config_dump, "echo the parsed config in canonical form",
+        parent=config.add_subparsers(dest="subcommand", required=True))
     return parser
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spincavity import spin_models, sweep_cli
+from spincavity import fitting, spin_models, sweep_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -55,3 +55,23 @@ def test_synthesize_map_takes_the_baseline_arguments():
     cfg = sweep_cli.parse_config((ROOT / "configs" / "p1_20ppm_b001.ini").read_text())
     smap = sweep_cli._synthesize_map(cfg, 0.0, 1)
     assert np.array_equal(smap.values, sweep_cli._synthesize_map(cfg, 0.0).values)
+
+
+def test_cli_fits_call_the_fitting_attributes(monkeypatch, capsys):
+    # the tracer counts fits by replacing fitting.fit_*; a CLI holding its own
+    # reference to a fit function would read 0 in the per-layer fit metrics
+    calls = []
+
+    def counting(fit):
+        def wrapper(data):
+            calls.append(fit.__name__)
+            return fit(data)
+        return wrapper
+
+    for name in ("fit_lorentzian", "fit_avoided_crossing"):
+        monkeypatch.setattr(fitting, name, counting(getattr(fitting, name)))
+    configs = ROOT / "configs"
+    sweep_cli.main(["fit", "--kind", "lorentzian", "--config", str(configs / "loop_gap.ini")])
+    sweep_cli.main(["fit", "--config", str(configs / "nv_10ppm_b110.ini")])
+    capsys.readouterr()
+    assert calls == ["fit_lorentzian", "fit_avoided_crossing"]

@@ -39,6 +39,31 @@ def test_spectrum1d_validation():
         ft.Spectrum1D(np.array([1.0, 2.0]), np.array([0.5, -0.1]))
 
 
+def _fit_spoilt_trace(column, value):
+    columns = [c.copy() for c in ex.lorentzian_q_trace(5390.0, 1300.0, 3500.0)]
+    columns[column][500] = value
+    return ft.fit_lorentzian(ft.Spectrum1D(*columns))
+
+
+def _fit_spoilt_map(value):
+    smap = ex.nv_anticrossing_map()
+    values = smap.values.copy()
+    values[28, 200] = value
+    return ft.fit_avoided_crossing(cq.SpectrumMap(smap.b_axis, smap.omega_axis, values))
+
+
+@pytest.mark.parametrize(
+    "fit_spoilt",
+    [lambda: _fit_spoilt_trace(1, np.nan), lambda: _fit_spoilt_trace(0, np.inf),
+     lambda: _fit_spoilt_map(np.inf)],
+    ids=["nan_magnitude", "inf_omega", "inf_map_value"],
+)
+def test_non_finite_data_is_rejected_before_a_fit(fit_spoilt):
+    # each used to fit with converged = True (a nan rms, or a finite g_ens)
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_spoilt()
+
+
 def test_fit_rejects_flat_and_tiny_data():
     grid = np.linspace(0, 1, 50)
     with pytest.raises(ft.FitError):

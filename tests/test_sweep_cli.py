@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spincavity import experiments as ex
 from spincavity import sweep_cli as cli
@@ -214,6 +216,17 @@ def test_dump_parse_round_trip():
     assert cfg.sweep.seed == 7
 
 
+def test_dump_fills_in_the_optional_circuit_keys():
+    # five circuit keys in, all seven out, after the other [resonator] keys
+    assert cli.dump_config(cli.parse_config(CIRCUIT_ONLY)) == (
+        "[resonator]\nq_int = 1300.0\nq_ext1 = 7000.0\nq_ext2 = 7000.0\n"
+        "mode_volume_mm3 = 11.45\nl_nh = 0.25\nc_pf = 3.465\nr_ohm = 11010.0\n"
+        "cc1_ff = 10.0\ncc2_ff = 10.0\ncx_ff = 0.0\nz0_ohm = 50.0\n\n"
+        "[sweep]\nb_min_mt = 60.0\nb_max_mt = 90.0\nb_points = 61\n"
+        "omega_min_mhz = 5340.0\nomega_max_mhz = 5440.0\nomega_points = 401\nseed = 0\n"
+    )
+
+
 def test_defect_axis_picks_closest_bond():
     axis = cli._defect_axis(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     assert np.allclose(axis, np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
@@ -367,6 +380,23 @@ def test_fit_avoided_crossing_synthetic(tmp_path, capsys):
     assert abs(float(got["b_star_mt"]) - 76.49) < 0.2
 
 
+@pytest.mark.parametrize("kind, title, keys", [
+    ("avoided_crossing", "# avoided-crossing fit",
+     ["g_ens_mhz", "omega_r_mhz", "b_star_mt", "slope_mhz_per_mt"]),
+    ("lorentzian", "# lorentzian fit",
+     ["center_mhz", "fwhm_mhz", "amplitude", "baseline", "q_loaded", "q_ext", "q_int"]),
+    ("fano", "# fano fit", ["center_mhz", "width_mhz", "q_asym", "amplitude", "baseline"]),
+])
+def test_fit_report_keys_in_order(tmp_path, capsys, kind, title, keys):
+    cfgp = write(tmp_path, "map.ini", NV_MAP)
+    assert cli.main(["fit", "--config", cfgp, "--kind", kind]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == title
+    assert lines[1].startswith("# residual rms ")
+    got = [ln.split(" = ")[0] for ln in lines[2:]]
+    assert got == keys + ["residual_rms", "converged", "iterations"]
+
+
 def test_fit_from_csv_matches_synthetic(tmp_path, capsys):
     cfgp = write(tmp_path, "map.ini", NV_MAP)
     mapcsv = str(tmp_path / "map.csv")
@@ -391,6 +421,15 @@ def test_fit_lorentzian_from_ideal_trace(tmp_path, capsys):
     assert abs(float(got["q_loaded"]) - q_l) / q_l < 0.01
     assert abs(float(got["q_ext"]) - q_ext) / q_ext < 0.01
     assert abs(float(got["q_int"]) - q_int) / q_int < 0.01
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6))
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+def test_csv_number_format_matches_the_format_spec(x):
+    # the CSV writer formats rows with '%.10g'; CSV text stays that of f"{x:.10g}"
+    assert "%.10g" % x == f"{x:.10g}"
 
 
 def test_fit_malformed_csv_exits_4(tmp_path, capsys):
@@ -442,10 +481,17 @@ def _spoilt_csv(kind, line, column, value):
          "line 700: negative S21_mag"),
         ("lorentzian", "f_MHz,S21_mag\n5389.0,0.2\n\n5390.0,inf\n5391.0,0.2\n",
          "line 4: non-finite field"),
+        ("avoided_crossing", "B_mT,f_MHz,S21_mag,S21_arg\n70.0,5389.0,0.5,0.0\n\n"
+         "70.0,5390.0,-0.5,0.0\n71.0,5389.0,0.5,0.0\n71.0,5390.0,0.5,0.0\n",
+         "line 4: negative S21_mag"),
+        ("avoided_crossing", "B_mT,f_MHz,S21_mag,S21_arg\n70.0,5389.0,0.5,0.0\n"
+         "70.0,5390.0,0.5,0.0\n\n71.0,5389.5,0.5,0.0\n71.0,5390.0,0.5,0.0\n",
+         "line 5: inconsistent grid block"),
     ],
     ids=["negative_magnitude", "repeated_frequencies", "unordered_field_blocks",
          "nan_in_trace_lorentzian", "nan_in_trace_fano", "inf_in_map", "negative_map_magnitude",
-         "inf_after_a_blank_line"],
+         "inf_after_a_blank_line", "negative_map_magnitude_after_a_blank_line",
+         "inconsistent_block_after_a_blank_line"],
 )
 def test_fit_in_rejected_data_exits_4(tmp_path, capsys, kind, text, reason):
     cfgp = write(tmp_path, "cfg.ini", NV_MAP)
