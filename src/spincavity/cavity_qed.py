@@ -84,15 +84,18 @@ class SpectrumMap:
     values: np.ndarray
 
     def __post_init__(self):
-        b, w = np.asarray(self.b_axis), np.asarray(self.omega_axis)
+        b, w, v = (np.asarray(a) for a in (self.b_axis, self.omega_axis, self.values))
         for ax, name in ((b, "b_axis"), (w, "omega_axis")):
             d = np.diff(ax)
             if ax.ndim != 1 or (ax.size > 1 and not (np.all(d > 0) or np.all(d < 0))):
                 raise ValueError(f"{name} must be strictly monotone")
-        if self.values.shape != (b.size, w.size):
+        if v.shape != (b.size, w.size):
             raise ValueError("values must have shape (len(b_axis), len(omega_axis))")
-        if not all(np.isfinite(a).all() for a in (b, w, self.values)):
+        if not all(np.isfinite(a).all() for a in (b, w, v)):
             raise ValueError("b_axis, omega_axis and values must be finite")
+        object.__setattr__(self, "b_axis", b)
+        object.__setattr__(self, "omega_axis", w)
+        object.__setattr__(self, "values", v)
 
 
 def vacuum_brms(omega_r, mode_volume):

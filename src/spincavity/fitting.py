@@ -232,42 +232,41 @@ def extract_qs(fit, insertion_loss_peak):
 
 
 def _column_peaks(omega, mag):
-    """Up to two strongest interior local maxima above a robust threshold.
+    """Per field column of the (n_b, n_omega) map `mag`, the sorted positions
+    of its up to two strongest interior local maxima above a robust threshold.
 
-    Threshold is median + 3 * 1.4826 * MAD.  Two maxima only count as
-    separate peaks if the valley between them drops at least 3x the noise
-    below the smaller one, so noise cannot split a single ridge in two.
+    A column's threshold is its median + 3 * 1.4826 * MAD.  Two maxima only
+    count as separate peaks if the valley between them drops at least 3x the
+    noise below the smaller one, so noise cannot split a single ridge in two.
     Sub-bin positions by parabolic interpolation around each maximum.
     """
-    med = np.median(mag)
-    noise = 1.4826 * np.median(np.abs(mag - med))
-    thresh = med + 3.0 * noise
-    idx = [
-        i
-        for i in range(1, mag.size - 1)
-        if mag[i] > mag[i - 1] and mag[i] >= mag[i + 1] and mag[i] > thresh
-    ]
-    idx.sort(key=lambda i: -mag[i])
-    chosen = []
-    for i in idx:
-        distinct = True
-        for j in chosen:
+    med = np.median(mag, axis=1, keepdims=True)
+    noise = 1.4826 * np.median(np.abs(mag - med), axis=1)
+    thresh = med[:, 0] + 3.0 * noise
+    mid = mag[:, 1:-1]
+    cols, idx = np.nonzero((mid > mag[:, :-2]) & (mid >= mag[:, 2:]) & (mid > thresh[:, None]))
+    idx += 1
+    # candidates by column, strongest first, ties in frequency order
+    order = np.lexsort((idx, -mag[cols, idx], cols))
+    chosen = [[] for _ in range(mag.shape[0])]
+    for c, i in zip(cols[order].tolist(), idx[order].tolist()):
+        picked = chosen[c]
+        if len(picked) == 2:
+            continue
+        if picked:
+            j = picked[0]
             lo, hi = (i, j) if i < j else (j, i)
-            valley = mag[lo : hi + 1].min()
-            if valley > min(mag[i], mag[j]) - 3.0 * noise:
-                distinct = False
-                break
-        if distinct:
-            chosen.append(i)
-        if len(chosen) == 2:
-            break
-    peaks = []
-    for i in chosen:
-        denom = mag[i - 1] - 2 * mag[i] + mag[i + 1]
-        shift = 0.0 if denom == 0 else 0.5 * (mag[i - 1] - mag[i + 1]) / denom
-        shift = float(np.clip(shift, -0.5, 0.5))
-        peaks.append(float(omega[i] + shift * (omega[min(i + 1, omega.size - 1)] - omega[i])))
-    return sorted(peaks)
+            if mag[c, lo : hi + 1].min() > min(mag[c, i], mag[c, j]) - 3.0 * noise[c]:
+                continue
+        picked.append(i)
+    cols = np.array([c for c, picked in enumerate(chosen) for _ in picked], dtype=int)
+    idx = np.array([i for picked in chosen for i in picked], dtype=int)
+    left, top, right = mag[cols, idx - 1], mag[cols, idx], mag[cols, idx + 1]
+    denom = left - 2 * top + right
+    shift = np.divide(0.5 * (left - right), denom, out=np.zeros(denom.shape), where=denom != 0)
+    shift = np.clip(shift, -0.5, 0.5)
+    pos = iter((omega[idx] + shift * (omega[idx + 1] - omega[idx])).tolist())
+    return [sorted([next(pos) for _ in picked]) for picked in chosen]
 
 
 def fit_avoided_crossing(smap):
@@ -283,7 +282,7 @@ def fit_avoided_crossing(smap):
     omega_axis = np.asarray(smap.omega_axis, dtype=float)
     mag = np.abs(smap.values)
 
-    per_column = [_column_peaks(omega_axis, mag[i]) for i in range(b_axis.size)]
+    per_column = _column_peaks(omega_axis, mag)
     usable = [i for i, pk in enumerate(per_column) if pk]
     if len(usable) < 5:
         raise FitError("fewer than 5 usable columns with a detectable peak")

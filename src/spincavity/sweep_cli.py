@@ -289,10 +289,19 @@ def _write(out_path, text):
             fh.write(text)
 
 
-def _write_csv(out_path, header, rows):
-    """One line per row tuple; '%.10g' % x is f"{x:.10g}" for floats and ints."""
-    fmt = ",".join(["%.10g"] * (header.count(",") + 1))
-    _write(out_path, "\n".join([header] + [fmt % row for row in rows]) + "\n")
+def _write_csv(out_path, header, rows, grid=None):
+    """One line per row tuple; '%.10g' % x is f"{x:.10g}" for floats and ints.
+
+    With `grid`, an (outer, inner) pair of axes, line k starts with point k of
+    their row-major product and `rows` holds only the fields after it; each
+    axis value is formatted once, not once per line.
+    """
+    n_fields = header.count(",") + 1 - (0 if grid is None else 2)
+    rows = map(",".join(["%.10g"] * n_fields).__mod__, rows)
+    if grid is not None:
+        outer, inner = (["%.10g," % x for x in axis] for axis in grid)
+        rows = [o + i + r for o in outer for i, r in zip(inner, rows)]
+    _write(out_path, "\n".join([header, *rows]) + "\n")
 
 
 def cmd_levels(cfg, args):
@@ -338,9 +347,9 @@ def _synthesize_map(cfg, noise, threads=None):
 
 def cmd_map(cfg, args):
     smap = _synthesize_map(cfg, args.noise)
-    b, f = np.meshgrid(smap.b_axis, smap.omega_axis, indexing="ij")
-    columns = (b, f, np.abs(smap.values), np.angle(smap.values))
-    _write_csv(args.out, "B_mT,f_MHz,S21_mag,S21_arg", zip(*(c.ravel().tolist() for c in columns)))
+    rows = zip(np.abs(smap.values).ravel().tolist(), np.angle(smap.values).ravel().tolist())
+    grid = (smap.b_axis.tolist(), smap.omega_axis.tolist())
+    _write_csv(args.out, "B_mT,f_MHz,S21_mag,S21_arg", rows, grid)
     return 0
 
 
@@ -387,20 +396,29 @@ def _read_csv(path, expected_header):
         raise CsvError(
             f"{path}: line 1: expected header starting with {','.join(expected_header)}"
         )
-    rows = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise CsvError(f"{path}: line {n}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise CsvError(f"{path}: line {n}: non-numeric field")
-    if not rows:
-        raise CsvError(f"{path}: no data rows")
-    data = np.array(rows)
+    data = None
+    try:
+        if any(lines[1:]):  # else loadtxt warns of no data; the walk below reports it
+            data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        pass
+    if data is None or data.shape[1] != len(header):
+        # loadtxt takes a subset of what float() takes: the line walk parses the
+        # rest, and names the line at fault in what neither takes
+        rows = []
+        for n, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != len(header):
+                raise CsvError(f"{path}: line {n}: expected {len(header)} fields, got {len(parts)}")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise CsvError(f"{path}: line {n}: non-numeric field")
+        if not rows:
+            raise CsvError(f"{path}: no data rows")
+        data = np.array(rows)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise CsvError(f"{path}: line {_line_number(lines, bad[0])}: non-finite field")
@@ -423,10 +441,11 @@ def _map_from_csv(path):
     omega_axis = data[:n_w, 1]
     mag = data[:, 2].reshape(n_b, n_w)
     arg = data[:, 3].reshape(n_b, n_w) if data.shape[1] > 3 else np.zeros_like(mag)
-    for i in range(n_b):
-        block = data[i * n_w : (i + 1) * n_w]
-        if not np.array_equal(block[:, 1], omega_axis) or not np.all(block[:, 0] == b_axis[i]):
-            raise CsvError(f"{path}: line {_line_number(lines, i * n_w)}: inconsistent grid block")
+    blocks = data[:, :2].reshape(n_b, n_w, 2)
+    inconsistent = (blocks[:, :, 0] != b_axis[:, None]) | (blocks[:, :, 1] != omega_axis)
+    bad = np.flatnonzero(inconsistent.any(axis=1))
+    if bad.size:
+        raise CsvError(f"{path}: line {_line_number(lines, bad[0] * n_w)}: inconsistent grid block")
     return _checked(path, cavity_qed.SpectrumMap, b_axis, omega_axis, mag * np.exp(1j * arg))
 
 

@@ -60,8 +60,7 @@ def test_criterion_2_polariton_splitting_and_fit():
     smap = ex.nv_anticrossing_map(g_ens=11.5)
     mag = np.abs(smap.values)
     splits = []
-    for i in range(smap.b_axis.size):
-        pk = ft._column_peaks(smap.omega_axis, mag[i])
+    for pk in ft._column_peaks(smap.omega_axis, mag):
         if len(pk) == 2:
             splits.append(pk[1] - pk[0])
     min_split = min(splits)

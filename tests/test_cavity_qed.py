@@ -47,6 +47,13 @@ def test_spectrum_map_validation():
         cq.SpectrumMap(np.array([1.0, 1.0]), np.array([1.0, 2.0]), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         cq.SpectrumMap(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.zeros((3, 2)))
+    # plain lists are taken as arrays, as by fitting.Spectrum1D
+    smap = cq.SpectrumMap([70.0, 71.0], [5389.0, 5390.0], [[0.5, 0.5], [0.5, 0.5]])
+    for got, want in zip((smap.b_axis, smap.omega_axis, smap.values),
+                         ([70.0, 71.0], [5389.0, 5390.0], [[0.5, 0.5], [0.5, 0.5]])):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    with pytest.raises(ValueError, match="values must have shape"):
+        cq.SpectrumMap([70.0, 71.0], [5389.0, 5390.0], [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
 
 
 # ---------------------------------------------------------------- budget

@@ -1,11 +1,18 @@
 """Lineshape fits, Q extraction, avoided-crossing parameter recovery."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spincavity import cavity_qed as cq
 from spincavity import experiments as ex
 from spincavity import fitting as ft
+from spincavity import sweep_cli as cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CENTER, FWHM, AMP, BASE = 5390.0, 4.9, 0.6, 0.02
 
@@ -186,6 +193,89 @@ def test_extract_qs_round_trip_from_synthetic_trace():
 
 
 # ---------------------------------------------------------------- anticrossing
+
+
+def reference_column_peaks(omega, mag):
+    """The peak picker of one field column, one frequency at a time: the
+    oracle of the whole-map `_column_peaks`."""
+    med = np.median(mag)
+    noise = 1.4826 * np.median(np.abs(mag - med))
+    thresh = med + 3.0 * noise
+    idx = [
+        i
+        for i in range(1, mag.size - 1)
+        if mag[i] > mag[i - 1] and mag[i] >= mag[i + 1] and mag[i] > thresh
+    ]
+    idx.sort(key=lambda i: -mag[i])
+    chosen = []
+    for i in idx:
+        distinct = True
+        for j in chosen:
+            lo, hi = (i, j) if i < j else (j, i)
+            valley = mag[lo : hi + 1].min()
+            if valley > min(mag[i], mag[j]) - 3.0 * noise:
+                distinct = False
+                break
+        if distinct:
+            chosen.append(i)
+        if len(chosen) == 2:
+            break
+    peaks = []
+    for i in chosen:
+        denom = mag[i - 1] - 2 * mag[i] + mag[i + 1]
+        shift = 0.0 if denom == 0 else 0.5 * (mag[i - 1] - mag[i + 1]) / denom
+        shift = float(np.clip(shift, -0.5, 0.5))
+        peaks.append(float(omega[i] + shift * (omega[min(i + 1, omega.size - 1)] - omega[i])))
+    return sorted(peaks)
+
+
+def _peak_test_map(kind, n_b, n_w, seed):
+    """A (n_b, n_w) magnitude map: uniform noise, small integers (ties and
+    plateaus: a 0/1 floor with dense spikes of 3 to 8) or two Gaussian ridges
+    per column on noise."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random((n_b, n_w))
+    if kind == "integer":
+        spikes = rng.integers(3, 9, (n_b, n_w)) * (rng.random((n_b, n_w)) < 0.3)
+        return (rng.integers(0, 2, (n_b, n_w)) + spikes).astype(float)
+    x = np.arange(n_w)
+    centers = rng.uniform(0, n_w, (n_b, 2, 1))
+    widths = rng.uniform(0.5, 0.2 * n_w + 1.0, (n_b, 2, 1))
+    heights = rng.uniform(0.2, 1.0, (n_b, 2, 1))
+    ridges = (heights * np.exp(-0.5 * ((x - centers) / widths) ** 2)).sum(axis=1)
+    return np.abs(ridges + rng.normal(0.0, rng.uniform(0.0, 0.1), (n_b, n_w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "integer", "gaussians"]),
+    n_b=st.integers(1, 6),
+    n_w=st.integers(3, 80),
+    seed=st.integers(0, 2**32 - 1),
+    descending=st.booleans(),
+)
+@example(kind="random", n_b=1, n_w=3, seed=0, descending=False)
+@example(kind="integer", n_b=1, n_w=3, seed=1, descending=True)
+@example(kind="gaussians", n_b=1, n_w=60, seed=2, descending=False)
+@example(kind="integer", n_b=4, n_w=3, seed=3, descending=False)
+def test_column_peaks_match_the_per_column_reference(kind, n_b, n_w, seed, descending):
+    mag = _peak_test_map(kind, n_b, n_w, seed)
+    omega = np.linspace(5340.0, 5440.0, n_w)[:: -1 if descending else 1]
+    assert ft._column_peaks(omega, mag) == [reference_column_peaks(omega, row) for row in mag]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_column_peaks_match_the_reference_on_physical_maps(noise):
+    p1_window = cli.parse_config((ROOT / "configs" / "p1_20ppm_b001.ini").read_text())
+    maps = (ex.nv_anticrossing_map(), ex.p1_anticrossing_map(1, 8.8),
+            cli._synthesize_map(p1_window, 0.0))
+    for smap in maps:
+        if noise:
+            smap = ex.add_magnitude_noise(smap, noise, 5)
+        mag = np.abs(smap.values)
+        expected = [reference_column_peaks(smap.omega_axis, row) for row in mag]
+        assert ft._column_peaks(smap.omega_axis, mag) == expected
 
 
 def test_avoided_crossing_idealized_round_trip():

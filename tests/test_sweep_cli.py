@@ -291,9 +291,9 @@ def test_map_csv_row_count_and_determinism(tmp_path):
     assert cli.main(["map", "--config", cfgp, "--out", o1]) == 0
     assert cli.main(["map", "--config", cfgp, "--out", o2]) == 0
     assert cli.main(["map", "--config", cfgp, "--out", o3, "--threads", "3"]) == 0
-    b1 = open(o1, "rb").read()
-    assert b1 == open(o2, "rb").read()
-    assert b1 == open(o3, "rb").read()  # threading must not reorder rows
+    b1 = Path(o1).read_bytes()
+    assert b1 == Path(o2).read_bytes()
+    assert b1 == Path(o3).read_bytes()  # threading must not reorder rows
     lines = b1.decode().strip().split("\n")
     assert lines[0] == "B_mT,f_MHz,S21_mag,S21_arg"
     assert len(lines) == 1 + 7 * 51
@@ -308,12 +308,12 @@ def test_map_noise_is_seeded(tmp_path):
     cli.main(["map", "--config", cfgp, "--out", o1, "--noise", "0.01"])
     cli.main(["map", "--config", cfgp, "--out", o2, "--noise", "0.01"])
     cli.main(["map", "--config", cfgp, "--out", o3])
-    assert open(o1, "rb").read() == open(o2, "rb").read()
-    assert open(o1, "rb").read() != open(o3, "rb").read()
+    assert Path(o1).read_bytes() == Path(o2).read_bytes()
+    assert Path(o1).read_bytes() != Path(o3).read_bytes()
     seeded = write(tmp_path, "map2.ini", small + "seed = 9\n")
     o4 = str(tmp_path / "n4.csv")
     cli.main(["map", "--config", seeded, "--out", o4, "--noise", "0.01"])
-    assert open(o4, "rb").read() != open(o1, "rb").read()
+    assert Path(o4).read_bytes() != Path(o1).read_bytes()
 
 
 def test_map_zero_density_is_field_independent(tmp_path):
@@ -325,7 +325,7 @@ def test_map_zero_density_is_field_independent(tmp_path):
     out = str(tmp_path / "bare.csv")
     assert cli.main(["map", "--config", cfgp, "--out", out]) == 0
     data = np.array(
-        [ln.split(",") for ln in open(out).read().strip().split("\n")[1:]], dtype=float
+        [ln.split(",") for ln in Path(out).read_text().strip().split("\n")[1:]], dtype=float
     )
     mags = data[:, 2].reshape(5, 41)
     assert np.allclose(mags, mags[0], rtol=1e-9)
@@ -487,17 +487,101 @@ def _spoilt_csv(kind, line, column, value):
         ("avoided_crossing", "B_mT,f_MHz,S21_mag,S21_arg\n70.0,5389.0,0.5,0.0\n"
          "70.0,5390.0,0.5,0.0\n\n71.0,5389.5,0.5,0.0\n71.0,5390.0,0.5,0.0\n",
          "line 5: inconsistent grid block"),
+        ("lorentzian", "f_MHz,S21_mag\n5389.0,0.2,\n5390.0,0.3,\n",
+         "line 2: expected 2 fields, got 3"),
+        ("lorentzian", "f_MHz,S21_mag\n5389.0,0.2\n#5390.0,0.3\n", "line 3: non-numeric field"),
+        ("lorentzian", "f_MHz,S21_mag\n5389.0,#0.2\n", "line 2: non-numeric field"),
+        ("lorentzian", "f_MHz,S21_mag\n5389.0\n5390.0\n5391.0\n",
+         "line 2: expected 2 fields, got 1"),
+        ("avoided_crossing", "B_mT,f_MHz,S21_mag,S21_arg\n70.0,5389.0,0.5\n70.0,5390.0,0.5\n",
+         "line 2: expected 4 fields, got 3"),
+        ("lorentzian", "f_MHz,S21_mag\n", "no data rows"),
+        ("lorentzian", "f_MHz,S21_mag\n\n\n", "no data rows"),
+        ("lorentzian", "f_MHz,S21_mag\n \n\t\n", "no data rows"),
+        ("lorentzian", "f_MHz,S21_mag\n5389.0,0.2\n  \n5390.0,half\n",
+         "line 4: non-numeric field"),
+        ("lorentzian", "f_MHz,S21_mag\n5_389.0,0.2\n5390.0,nan\n", "line 3: non-finite field"),
     ],
     ids=["negative_magnitude", "repeated_frequencies", "unordered_field_blocks",
          "nan_in_trace_lorentzian", "nan_in_trace_fano", "inf_in_map", "negative_map_magnitude",
          "inf_after_a_blank_line", "negative_map_magnitude_after_a_blank_line",
-         "inconsistent_block_after_a_blank_line"],
+         "inconsistent_block_after_a_blank_line", "trailing_comma", "hash_led_line",
+         "hash_led_field", "rows_one_field_short", "map_rows_one_field_short", "header_only",
+         "header_and_empty_lines", "header_and_whitespace_lines",
+         "non_numeric_after_a_whitespace_line", "nan_after_an_underscored_number"],
 )
 def test_fit_in_rejected_data_exits_4(tmp_path, capsys, kind, text, reason):
     cfgp = write(tmp_path, "cfg.ini", NV_MAP)
     path = write(tmp_path, "in.csv", text)
     assert cli.main(["fit", "--config", cfgp, "--kind", kind, "--in", path]) == 4
     assert capsys.readouterr().err == f"data error: {path}: {reason}\n"
+
+
+def _trace_text():
+    grid, mag = ex.lorentzian_q_trace(5390.0, 1300.0, 3500.0)
+    return "f_MHz,S21_mag\n" + "".join(f"{f:.10g},{m:.10g}\n" for f, m in zip(grid, mag))
+
+
+def _respell_line(text, line, respell):
+    lines = text.split("\n")
+    lines[line - 1] = respell(lines[line - 1])
+    return "\n".join(lines)
+
+
+FULL_WIDTH_DIGITS = str.maketrans("0123456789", "".join(chr(0xFF10 + d) for d in range(10)))
+
+
+@pytest.mark.parametrize(
+    "respell",
+    [
+        lambda text: _respell_line(text, 10, lambda ln: ln + "\n  \t"),
+        lambda text: _respell_line(text, 10, lambda ln: ln[0] + "_" + ln[1:]),
+        lambda text: _respell_line(text, 10, lambda ln: ln.translate(FULL_WIDTH_DIGITS)),
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: _respell_line(text, 10, lambda ln: " " + ln.replace(",", " , ") + "\t"),
+    ],
+    ids=["whitespace_only_line", "underscored_digits", "full_width_digits", "crlf_line_ends",
+         "padded_fields"],
+)
+def test_fit_in_takes_every_number_float_takes(tmp_path, capsys, respell):
+    # loadtxt rejects these spellings (or some of them); the CSV reader must
+    # still read them as float() does, and fit the same numbers
+    cfgp = write(tmp_path, "cfg.ini", NV_MAP)
+    clean, spelt = tmp_path / "clean.csv", tmp_path / "spelt.csv"
+    clean.write_bytes(_trace_text().encode())
+    spelt.write_bytes(respell(_trace_text()).encode())
+    assert spelt.read_bytes() != clean.read_bytes()
+    argv = ["fit", "--config", cfgp, "--kind", "lorentzian", "--in"]
+    assert cli.main(argv + [str(clean)]) == 0
+    expected = capsys.readouterr()
+    assert cli.main(argv + [str(spelt)]) == 0
+    assert capsys.readouterr() == expected
+    assert expected.err == ""
+
+
+def _map_text_per_row(smap):
+    """The map CSV written one '%.10g' row tuple at a time from the meshgrid columns."""
+    b, f = np.meshgrid(smap.b_axis, smap.omega_axis, indexing="ij")
+    columns = (b, f, np.abs(smap.values), np.angle(smap.values))
+    rows = ["%.10g,%.10g,%.10g,%.10g" % row for row in zip(*(c.ravel() for c in columns))]
+    return "\n".join(["B_mT,f_MHz,S21_mag,S21_arg"] + rows) + "\n"
+
+
+@pytest.mark.parametrize("grid", ["nv_config", "1x3"])
+def test_map_csv_matches_the_per_row_text(tmp_path, monkeypatch, grid):
+    cfgp = str(ROOT / "configs" / "nv_10ppm_b110.ini")
+    smap = cli._synthesize_map(cli.parse_config(Path(cfgp).read_text()), 0.0)
+    if grid == "1x3":
+        # a config grid has at least 2 field points, so this map is put in place;
+        # its axis values need 11 to 14 significant digits each
+        values = np.array([[complex(0.25, -0.0), complex(-0.5, 1e-17), complex(5e-324, 0.0)]])
+        smap = cli.cavity_qed.SpectrumMap(
+            [75.123456789012], [5389.0123456789, 5390.5, 5391.0 + 1.0 / 3.0], values
+        )
+        monkeypatch.setattr(cli, "_synthesize_map", lambda cfg, noise: smap)
+    out = tmp_path / "map.csv"
+    assert cli.main(["map", "--config", cfgp, "--out", str(out)]) == 0
+    assert out.read_bytes() == _map_text_per_row(smap).encode()
 
 
 def test_missing_files_exit_4(tmp_path, capsys):
@@ -534,7 +618,7 @@ def test_circuit_csv_and_q_report(tmp_path, capsys):
     out = str(tmp_path / "trace.csv")
     assert cli.main(["circuit", "--config", cfgp, "--out", out]) == 0
     report = parse_report(capsys.readouterr().out)
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[0] == "f_MHz,S21_mag,S21_arg"
     assert len(lines) > 1000
     ref = __import__("spincavity.circuit_model", fromlist=["q_decomposition"])
