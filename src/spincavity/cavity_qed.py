@@ -9,8 +9,9 @@ mode.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import h as PLANCK_H
-from scipy.constants import mu_0 as MU_0
+
+PLANCK_H = 6.62607015e-34  # J s, exact in the 2019 SI
+MU_0 = 1.25663706127e-06  # vacuum permeability, N/A^2 (CODATA 2022)
 
 # conventional diamond cell: 8 carbon atoms, edge 0.3567 nm
 LATTICE_A_MM = 0.3567e-6

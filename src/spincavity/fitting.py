@@ -149,14 +149,12 @@ def _peak_guess(spec):
     base = float(np.median(m))
     amp = float(m[i0] - base)
     half = base + 0.5 * amp
-    above = np.nonzero(m >= half)[0]
-    # contiguous run containing the peak
-    lo = i0
-    while lo - 1 in above:
-        lo -= 1
-    hi = i0
-    while hi + 1 in above:
-        hi += 1
+    # contiguous run at or above half maximum containing the peak: it ends
+    # next to the nearest points below half maximum on either side
+    below = np.flatnonzero(m < half)
+    k = int(np.searchsorted(below, i0))
+    lo = int(below[k - 1]) + 1 if k > 0 else 0
+    hi = int(below[k]) - 1 if k < below.size else m.size - 1
     dw = abs(w[min(hi + 1, w.size - 1)] - w[max(lo - 1, 0)])
     fwhm = max(dw, 2.0 * np.min(np.abs(np.diff(w))))
     return float(w[i0]), fwhm, amp, base

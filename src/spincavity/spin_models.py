@@ -11,11 +11,11 @@ because the zero-field and hyperfine tensors are diagonal only there; the lab
 field is rotated in.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 GAMMA_E = 28.0  # electron gyromagnetic ratio, MHz/mT
 
@@ -369,15 +369,59 @@ def _track(vecs, b_range):
             order = [step[k] for k in order]
         else:
             tracked = overlap[i][order]
-            row, col = linear_sum_assignment(-tracked)
-            order = col.tolist()
-            w = tracked[row, col].min()
+            order = assign(-tracked)
+            w = tracked[range(dim), order].min()
             if w < 0.5:
                 raise _ambiguous(b_range, i, w)
         orders.append(order)
     if low.size:
         raise _ambiguous(b_range, stop, worst[stop])
     return np.array(orders)
+
+
+def assign(cost):
+    """Column of each row in a minimum-cost assignment of a square matrix.
+
+    The Hungarian method by shortest augmenting paths, O(n^3) on plain lists:
+    rows join one at a time, and row and column potentials keep every reduced
+    cost nonnegative, so each augmenting path is a Dijkstra search over the
+    columns.  Column n is a virtual column holding the row being added.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or not np.all(np.isfinite(c)):
+        raise ValueError("cost must be a finite square matrix")
+    n = len(c)
+    c = c.tolist()
+    u, v = [0.0] * n, [0.0] * (n + 1)
+    owner = [-1] * (n + 1)  # row matched to each column, -1 while free
+    for i in range(n):
+        owner[n], j0 = i, n
+        dist, via, used = [math.inf] * (n + 1), [n] * (n + 1), [False] * (n + 1)
+        while owner[j0] >= 0:
+            used[j0] = True
+            row, ur = c[owner[j0]], u[owner[j0]]
+            delta, j1 = math.inf, n
+            for j in range(n):
+                if not used[j]:
+                    d = row[j] - ur - v[j]
+                    if d < dist[j]:
+                        dist[j], via[j] = d, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0 != n:  # augment back along the path to the virtual column
+            owner[j0] = owner[via[j0]]
+            j0 = via[j0]
+    col = [0] * n
+    for j in range(n):
+        col[owner[j]] = j
+    return col
 
 
 def _ambiguous(b_range, i, overlap):

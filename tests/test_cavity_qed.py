@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import constants
 
 from spincavity import cavity_qed as cq
 from spincavity import experiments as ex
@@ -64,6 +65,13 @@ def test_vacuum_brms_value():
     brms = cq.vacuum_brms(OMEGA_R, 11.45)
     assert np.isclose(brms, 13.999405333680414, rtol=1e-12)
     assert abs(brms - 14.0) < 0.01
+
+
+def test_physical_constants_match_scipy():
+    # literals, so that importing the package loads no scipy; rel=1e-9 catches
+    # a typo and accepts a later CODATA revision of mu_0
+    assert cq.PLANCK_H == pytest.approx(constants.h, rel=1e-9)
+    assert cq.MU_0 == pytest.approx(constants.mu_0, rel=1e-9)
 
 
 def test_vacuum_brms_scaling():

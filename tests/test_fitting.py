@@ -126,6 +126,57 @@ def test_fit_determinism():
     assert a.iterations == b.iterations
 
 
+def reference_peak_guess(spec):
+    """The start of a Lorentzian fit, growing the half-maximum run one index
+    at a time: the oracle of `_peak_guess`.  Also returns the run (lo, hi)."""
+    m, w = spec.magnitude, spec.omega
+    i0 = int(np.argmax(m))
+    base = float(np.median(m))
+    amp = float(m[i0] - base)
+    above = set(np.flatnonzero(m >= base + 0.5 * amp).tolist())
+    lo = hi = i0
+    while lo - 1 in above:
+        lo -= 1
+    while hi + 1 in above:
+        hi += 1
+    dw = abs(w[min(hi + 1, w.size - 1)] - w[max(lo - 1, 0)])
+    fwhm = max(dw, 2.0 * np.min(np.abs(np.diff(w))))
+    return (float(w[i0]), fwhm, amp, base), (lo, hi)
+
+
+def _peak_guess_traces():
+    loop_gap = cli.parse_config((ROOT / "configs" / "loop_gap.ini").read_text())
+    grid, mag = clean_lorentzian()
+    return {
+        "loop_gap": cli._synthesize_trace(loop_gap, 0.0),
+        "left_edge": ft.Spectrum1D(grid[400:], mag[400:]),
+        "right_edge": ft.Spectrum1D(grid[:401], mag[:401]),
+    }
+
+
+@pytest.mark.parametrize("name, run", [("loop_gap", None), ("left_edge", 0), ("right_edge", 400)])
+def test_peak_guess_and_lorentzian_fit_match_the_reference_walk(monkeypatch, name, run):
+    spec = _peak_guess_traces()[name]
+    guess, (lo, hi) = reference_peak_guess(spec)
+    if run is None:
+        assert hi - lo + 1 == 147  # the loop-gap peak's points at half maximum
+    else:
+        assert run in (lo, hi)  # the run touches an end of the grid
+    assert ft._peak_guess(spec) == guess
+    fit = ft.fit_lorentzian(spec)
+    monkeypatch.setattr(ft, "_peak_guess", lambda s: reference_peak_guess(s)[0])
+    assert ft.fit_lorentzian(spec) == fit
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1), integers=st.booleans())
+def test_peak_guess_matches_the_reference_walk(n, seed, integers):
+    rng = np.random.default_rng(seed)
+    mag = rng.integers(0, 4, n).astype(float) if integers else rng.random(n)
+    spec = ft.Spectrum1D(np.linspace(5340.0, 5440.0, n), mag)
+    assert ft._peak_guess(spec) == reference_peak_guess(spec)[0]
+
+
 # ---------------------------------------------------------------- Fano
 
 

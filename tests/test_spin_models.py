@@ -626,6 +626,63 @@ def test_level_curve_assignment_fallback_on_a_physical_p1_sweep():
     assert np.array_equal(c.vectors, vectors)
 
 
+def _assignment_cost(kind, n, seed):
+    """An (n, n) cost matrix: uniform noise, small integers (many tied
+    assignments), minus the overlap |V^H V'| of the eigenbases of two nearly
+    equal random Hermitian matrices (close runners-up, as in tracking), or
+    minus a scrambled permutation matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.random((n, n))
+    if kind == "integers":
+        return rng.integers(0, 4, (n, n)).astype(float)
+    if kind == "perturbed":
+        a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+        h, v = a + a.conj().T, b + b.conj().T
+        eps = 10.0 ** rng.uniform(-6.0, 1.0)
+        vecs = np.linalg.eigh(np.array([h, h + eps * v]))[1]
+        return -np.abs(vecs[0].conj().T @ vecs[1])
+    return -np.eye(n)[rng.permutation(n)]
+
+
+def _next_best_total(cost, col):
+    """Least total of an assignment that differs from col in some row: the
+    best one that avoids one of col's entries."""
+    banned = np.abs(cost).sum() + 1.0  # dearer than any whole assignment
+    totals = []
+    for i, j in enumerate(col):
+        c = cost.copy()
+        c[i, j] = banned
+        totals.append(c[linear_sum_assignment(c)].sum())
+    return min(totals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(["uniform", "integers", "perturbed", "permutation"]),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="uniform", n=1, seed=0)
+@example(kind="integers", n=9, seed=1)
+@example(kind="perturbed", n=9, seed=2)
+@example(kind="permutation", n=9, seed=3)
+def test_assign_matches_linear_sum_assignment(kind, n, seed):
+    cost = _assignment_cost(kind, n, seed)
+    col = sm.assign(cost)
+    row, ref = linear_sum_assignment(cost)
+    assert sorted(col) == list(range(n))
+    assert np.isclose(cost[range(n), col].sum(), cost[row, ref].sum(), rtol=0.0, atol=1e-12)
+    if _next_best_total(cost, ref) - cost[row, ref].sum() > 1e-9:  # a unique optimum
+        assert col == ref.tolist()
+
+
+def test_assign_rejects_bad_costs():
+    for cost in (np.ones((2, 3)), np.ones(3), [[0.0, np.nan], [1.0, 0.0]]):
+        with pytest.raises(ValueError, match="finite square"):
+            sm.assign(cost)
+
+
 def test_level_curve_diagonalizes_once(monkeypatch):
     calls = []
     eigh = np.linalg.eigh

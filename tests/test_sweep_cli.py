@@ -643,18 +643,30 @@ def test_map_from_circuit_with_crosstalk_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point_runs_without_warnings():
+def run_python(*args):
+    """A fresh interpreter with the package's source on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spincavity.sweep_cli", "config", "dump",
-         "--config", str(ROOT / "configs" / "loop_gap.ini")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_without_warnings():
+    proc = run_python("-m", "spincavity.sweep_cli", "config", "dump",
+                      "--config", str(ROOT / "configs" / "loop_gap.ini"))
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert cli.parse_config(proc.stdout).resonator.circuit.l == 0.25
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only: importing it would cost a cold command
+    # most of its run time
+    proc = run_python("-c", "import sys, spincavity; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_config_dump_cli(tmp_path, capsys):
