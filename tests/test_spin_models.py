@@ -648,7 +648,7 @@ def _assignment_cost(kind, n, seed):
 def _next_best_total(cost, col):
     """Least total of an assignment that differs from col in some row: the
     best one that avoids one of col's entries."""
-    banned = np.abs(cost).sum() + 1.0  # dearer than any whole assignment
+    banned = 2.0 * np.abs(cost).sum() + 1.0  # any total with it exceeds any without
     totals = []
     for i, j in enumerate(col):
         c = cost.copy()
