@@ -17,8 +17,6 @@ MU_0 = 1.25663706127e-06  # vacuum permeability, N/A^2 (CODATA 2022)
 LATTICE_A_MM = 0.3567e-6
 CARBON_SITES_PER_MM3 = 8.0 / LATTICE_A_MM**3
 
-CROSSING_TOL_MT = 1e-3  # width of the final bracket of crossing_field
-
 
 @dataclass(frozen=True)
 class ResonatorMode:
@@ -192,29 +190,25 @@ def s21_map(b_grid, omega_grid, res, lines):
 
 
 def crossing_field(transition_curve, omega_r, bracket):
-    """Field at which a transition curve crosses the cavity, by bisection.
+    """Field at which a transition curve crosses the cavity.
 
-    :param transition_curve: callable B (mT) -> frequency (MHz), monotone on
-        the bracket
+    :param transition_curve: callable taking an array of fields (mT) to the
+        array of their frequencies (MHz), monotone on the bracket
     :param bracket: (b_lo, b_hi) with the crossing inside
-    :returns: crossing field to within CROSSING_TOL_MT
+    :returns: crossing field, mT
+
+    Three rounds each evaluate the curve once, on 17 points across the
+    bracket, and keep the first cell in which it crosses omega_r as the next
+    bracket; the root is interpolated linearly in the last cell, which is
+    1/4096 of the bracket wide.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    f_lo = transition_curve(lo) - omega_r
-    f_hi = transition_curve(hi) - omega_r
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise ValueError(f"no crossing of {omega_r:g} MHz inside [{lo:g}, {hi:g}] mT")
-    while hi - lo > CROSSING_TOL_MT:
-        mid = 0.5 * (lo + hi)
-        f_mid = transition_curve(mid) - omega_r
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    for _ in range(3):
+        b = np.linspace(lo, hi, 17)
+        f = transition_curve(b) - omega_r
+        change = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+        if not change.size:
+            raise ValueError(f"no crossing of {omega_r:g} MHz inside [{lo:g}, {hi:g}] mT")
+        i = change[0]
+        lo, hi = b[i], b[i + 1]
+    return float(lo - f[i] * (hi - lo) / (f[i + 1] - f[i]))

@@ -81,13 +81,17 @@ def spin_line_map(defect, direction, axis, b_grid, omega_grid, res, linewidth, g
 
 
 def _line_frequency(defect, b_mt, line):
-    """Line `line` of LINE_PAIRS[defect] at b_mt on the canonical sweep, from sorted levels."""
+    """Line `line` of LINE_PAIRS[defect] on the canonical sweep, from sorted levels.
+
+    b_mt is one field or an array of them; the result has its shape.
+    """
     pairs = LINE_PAIRS[defect]
     if line not in range(len(pairs)):
         raise ValueError(f"line_index must lie in 0..{len(pairs) - 1}")
     lo, hi = pairs[line]
-    vals = np.linalg.eigvalsh(spin_models._BUILDERS[defect](b_mt * _SETUP[defect][0], AXIS_111))
-    return float(vals[hi] - vals[lo])
+    b_dc = np.multiply.outer(b_mt, _SETUP[defect][0])
+    vals = np.linalg.eigvalsh(spin_models._BUILDERS[defect](b_dc, AXIS_111))
+    return vals[..., hi] - vals[..., lo]
 
 
 def _crossing(defect, line, omega_r):
@@ -112,7 +116,8 @@ def _anticrossing_map(defect, line, g_ens, linewidth):
 
 
 def nv_transition_frequency(b_mt):
-    """Lowest-to-highest NV transition for B along [110], non-orthogonal bonds."""
+    """Lowest-to-highest NV transition for B along [110], non-orthogonal bonds;
+    b_mt is one field or an array of them."""
     return _line_frequency("nv", b_mt, 0)
 
 
@@ -127,7 +132,8 @@ def nv_anticrossing_map(g_ens=11.5, linewidth=MAP_LINEWIDTH_MHZ):
 
 
 def p1_transition_frequency(b_mt, line_index):
-    """P1 nuclear-conserving line (0, 1, 2 = m_I +1, 0, -1) for B along [001].
+    """P1 nuclear-conserving line (0, 1, 2 = m_I +1, 0, -1) for B along [001];
+    b_mt is one field or an array of them.
 
     The pairing (k, 5 - k) of ascending levels conserves the nuclear
     projection: the hyperfine ordering flips sign between the two electron

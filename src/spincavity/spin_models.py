@@ -302,21 +302,19 @@ _BUILDERS = {"nv": build_nv_hamiltonian, "p1": build_p1_hamiltonian}
 def level_curve(model, b_direction, axis, b_range, params=None):
     """Energy levels along a field sweep, tracked by adiabatic continuity.
 
-    :param model: "nv", "p1", or a callable mapping a field vector (mT) to a
-        Hamiltonian matrix
+    :param model: "nv" or "p1", the defect whose builder makes the Hamiltonians
     :param b_direction: sweep direction, any nonzero 3-vector (normalized here)
-    :param axis: defect symmetry axis (ignored for a callable model)
+    :param axis: defect symmetry axis
     :param b_range: monotone grid of field magnitudes, mT
     :returns: LevelCurves; column k of energies follows the level that starts
         as the k-th lowest at b_range[0]
 
-    The whole sweep is built as one (n, d, d) stack (for a callable model,
-    its matrices are stacked) and diagonalized in one call.  Adjacent grid
-    points are matched through the eigenvector overlap |V[i-1]^H V[i]|: the
-    row-wise maximum is taken where it is a permutation, which is then the
-    best global assignment, and the best global assignment is solved for
-    where it is not.  An overlap below 0.5 means the grid is too coarse to
-    follow the levels and raises with the first offending step.
+    The whole sweep is built as one (n, d, d) stack and diagonalized in one
+    call.  Adjacent grid points are matched through the eigenvector overlap
+    |V[i-1]^H V[i]|: the row-wise maximum is taken where it is a permutation,
+    which is then the best global assignment, and the best global assignment
+    is solved for where it is not.  An overlap below 0.5 means the grid is
+    too coarse to follow the levels and raises with the first offending step.
     """
     b_range = np.asarray(b_range, dtype=float)
     if b_range.ndim != 1 or b_range.size < 1:
@@ -332,13 +330,10 @@ def level_curve(model, b_direction, axis, b_range, params=None):
         raise ValueError("b_direction must be a nonzero 3-vector")
     direction = direction / norm
 
-    if callable(model):
-        h = np.array([model(b * direction) for b in b_range])
-    else:
-        key = str(model).lower()
-        if key not in _BUILDERS:
-            raise ValueError(f"unknown model {model!r}, expected 'nv' or 'p1'")
-        h = _BUILDERS[key](b_range[:, None] * direction, axis, params)
+    key = str(model).lower()
+    if key not in _BUILDERS:
+        raise ValueError(f"unknown model {model!r}, expected 'nv' or 'p1'")
+    h = _BUILDERS[key](b_range[:, None] * direction, axis, params)
     eig = eigensystem(h)
     del h  # free the stack before tracking
     orders = _track(eig.vectors, b_range)

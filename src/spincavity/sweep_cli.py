@@ -89,7 +89,7 @@ class SweepConfig:
     omega_min_mhz: float = _key(5340.0)
     omega_max_mhz: float = _key(5440.0)
     omega_points: int = _key(401, parse=int, lo=2)
-    seed: int = _key(0, parse=int)
+    seed: int = _key(0, parse=int, lo=0)
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,8 @@ def _value(section, key, raw, parse=float, lo=None, hi=None):
     except ValueError as exc:
         reason = f"is not {_NOUNS[parse]}: {raw!r}" if parse in _NOUNS else exc
         raise ConfigError(f"key '{key}' in [{section}] {reason}")
+    if isinstance(v, float) and not np.isfinite(v):
+        raise ConfigError(f"key '{key}' in [{section}] is not finite: {raw!r}")
     if lo is not None and v < lo or hi is not None and v > hi:
         shown = f"{v:g}" if isinstance(v, float) else v
         raise ConfigError(f"key '{key}' in [{section}] out of range: {shown}")
@@ -529,6 +531,17 @@ def cmd_config_dump(cfg, args):
     return 0
 
 
+def _sigma(raw):
+    """--noise: a finite standard deviation >= 0."""
+    try:
+        v = float(raw)
+    except ValueError:
+        v = np.nan
+    if not 0.0 <= v < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite sigma >= 0, got {raw!r}")
+    return v
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spincavity",
@@ -541,7 +554,7 @@ def _build_parser():
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if synth:
-            p.add_argument("--noise", type=float, default=0.0, metavar="SIGMA",
+            p.add_argument("--noise", type=_sigma, default=0.0, metavar="SIGMA",
                            help="additive Gaussian noise on |S21|, seeded from the config")
             p.add_argument("--threads", type=int, default=1, metavar="N",
                            help="accepted and ignored; maps are built in one thread")

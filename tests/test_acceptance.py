@@ -40,16 +40,16 @@ def _lab_frame_nv_line(b_mt):
 
 def test_criterion_1_nv_crossing_field():
     # reference: lab-frame Hamiltonian and Brent's method, sharing neither the
-    # defect-frame builder nor the bisection with the package
+    # defect-frame builder nor the root finder with the package
     b_ref = brentq(lambda b: _lab_frame_nv_line(b) - 5390.0, 40.0, 110.0, xtol=1e-9)
     b_cross = ex.nv_crossing()
     b_fit = ft.fit_avoided_crossing(ex.nv_anticrossing_map()).params["b_star"]
     f_at_737 = ex.nv_transition_frequency(73.7)
-    # crossing_field bisects down to a 1e-3 mT bracket
-    ok = abs(b_cross - b_ref) <= 1e-3 and abs(b_fit - b_ref) <= 0.1
+    # crossing_field interpolates in a last cell 1/4096 of the bracket wide
+    ok = abs(b_cross - b_ref) <= 1e-6 and abs(b_fit - b_ref) <= 0.1
     detail = (
-        f"full-span NV line for B || [110] crosses 5390 MHz at {b_cross:.4f} mT, "
-        f"lab-frame reference {b_ref:.4f} mT (within 1e-3 needed); fitted "
+        f"full-span NV line for B || [110] crosses 5390 MHz at {b_cross:.6f} mT, "
+        f"lab-frame reference {b_ref:.6f} mT (within 1e-6 needed); fitted "
         f"b_star {b_fit:.4f} mT (within 0.1 needed); the quoted 73.7 mT is out of "
         f"reach, the line sits at {f_at_737:.1f} MHz there"
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spincavity import fitting, spin_models, sweep_cli
+from spincavity import cavity_qed, experiments, fitting, spin_models, sweep_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -55,6 +55,27 @@ def test_synthesize_map_takes_the_baseline_arguments():
     cfg = sweep_cli.parse_config((ROOT / "configs" / "p1_20ppm_b001.ini").read_text())
     smap = sweep_cli._synthesize_map(cfg, 0.0, 1)
     assert np.array_equal(smap.values, sweep_cli._synthesize_map(cfg, 0.0).values)
+
+
+def test_crossings_call_the_cavity_qed_attribute(monkeypatch):
+    # the tracer counts crossing_evals by wrapping the curve handed to
+    # cavity_qed.crossing_field; each crossing takes at most 4 curve calls
+    expected = [experiments.nv_crossing(), *experiments.p1_crossings()]
+    calls = []  # curve calls of each crossing solve
+    crossing_field = cavity_qed.crossing_field
+
+    def counting(curve, omega_r, bracket):
+        calls.append(0)
+
+        def counted(b):
+            calls[-1] += 1
+            return curve(b)
+
+        return crossing_field(counted, omega_r, bracket)
+
+    monkeypatch.setattr(cavity_qed, "crossing_field", counting)
+    assert [experiments.nv_crossing(), *experiments.p1_crossings()] == expected
+    assert len(calls) == 4 and all(1 <= n <= 4 for n in calls)
 
 
 def test_cli_fits_call_the_fitting_attributes(monkeypatch, capsys):

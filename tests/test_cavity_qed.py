@@ -7,12 +7,15 @@ doublet must reproduce the g*sqrt(N) closed form.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import constants
+from scipy.optimize import brentq
 
 from spincavity import cavity_qed as cq
 from spincavity import experiments as ex
+
+from test_spin_models import AXIS_111, B001, B110, lab_frame_nv, lab_frame_p1
 
 OMEGA_R = 5390.0
 
@@ -63,7 +66,7 @@ def test_spectrum_map_validation():
 def test_vacuum_brms_value():
     # effective mode volume 11.45 mm^3 puts the vacuum field at 14.0 pT
     brms = cq.vacuum_brms(OMEGA_R, 11.45)
-    assert np.isclose(brms, 13.999405333680414, rtol=1e-12)
+    assert np.isclose(brms, 13.999405333680414, rtol=1e-12, atol=0)
     assert abs(brms - 14.0) < 0.01
 
 
@@ -76,8 +79,8 @@ def test_physical_constants_match_scipy():
 
 def test_vacuum_brms_scaling():
     b0 = cq.vacuum_brms(OMEGA_R, 11.45)
-    assert np.isclose(cq.vacuum_brms(4 * OMEGA_R, 11.45), 2 * b0, rtol=1e-12)
-    assert np.isclose(cq.vacuum_brms(OMEGA_R, 4 * 11.45), 0.5 * b0, rtol=1e-12)
+    assert np.isclose(cq.vacuum_brms(4 * OMEGA_R, 11.45), 2 * b0, rtol=1e-12, atol=0)
+    assert np.isclose(cq.vacuum_brms(OMEGA_R, 4 * 11.45), 0.5 * b0, rtol=1e-12, atol=0)
     with pytest.raises(ValueError):
         cq.vacuum_brms(-1.0, 11.45)
     with pytest.raises(ValueError):
@@ -87,43 +90,43 @@ def test_vacuum_brms_scaling():
 def test_carbon_site_density_against_mass_density():
     """8/a^3 must agree with rho N_A / M for diamond (3.515 g/cm^3)."""
     from_mass = 3.515 * 6.02214076e23 / 12.011 * 1e-3  # per mm^3
-    assert np.isclose(cq.CARBON_SITES_PER_MM3, from_mass, rtol=2e-3)
-    assert np.isclose(cq.CARBON_SITES_PER_MM3, 1.7627091503754514e20, rtol=1e-12)
+    assert np.isclose(cq.CARBON_SITES_PER_MM3, from_mass, rtol=2e-3, atol=0)
+    assert np.isclose(cq.CARBON_SITES_PER_MM3, 1.7627091503754514e20, rtol=1e-12, atol=0)
 
 
 def test_effective_spin_count():
     spec = cq.EnsembleSpec(10.0, 4.95, orientation_fraction=0.5)
     n = cq.effective_spin_count(spec)
-    assert np.isclose(n, 4362705147179242.0, rtol=1e-12)
+    assert np.isclose(n, 4362705147179242.0, rtol=1e-12, atol=0)
     # linear in every factor
     spec2 = cq.EnsembleSpec(20.0, 4.95, orientation_fraction=0.5)
-    assert np.isclose(cq.effective_spin_count(spec2), 2 * n, rtol=1e-12)
+    assert np.isclose(cq.effective_spin_count(spec2), 2 * n, rtol=1e-12, atol=0)
     spec3 = cq.EnsembleSpec(10.0, 4.95, orientation_fraction=0.5, nuclear_fraction=1 / 3)
-    assert np.isclose(cq.effective_spin_count(spec3), n / 3, rtol=1e-12)
+    assert np.isclose(cq.effective_spin_count(spec3), n / 3, rtol=1e-12, atol=0)
 
 
 def test_single_spin_and_ensemble_coupling():
     g1 = cq.single_spin_coupling(14.0, 28.0, 1.0)
-    assert np.isclose(g1, 28.0 * 14.0 * 1e-3, rtol=1e-12)  # 0.392 Hz
-    assert np.isclose(cq.single_spin_coupling(14.0, 28.0, 0.25), 0.5 * g1, rtol=1e-12)
-    assert np.isclose(cq.ensemble_coupling(g1, 1e12), g1 * 1e6 * 1e-6, rtol=1e-12)
+    assert np.isclose(g1, 28.0 * 14.0 * 1e-3, rtol=1e-12, atol=0)  # 0.392 Hz
+    assert np.isclose(cq.single_spin_coupling(14.0, 28.0, 0.25), 0.5 * g1, rtol=1e-12, atol=0)
+    assert np.isclose(cq.ensemble_coupling(g1, 1e12), g1 * 1e6 * 1e-6, rtol=1e-12, atol=0)
     with pytest.raises(ValueError):
         cq.ensemble_coupling(g1, -1.0)
 
 
 def test_budget_chain_for_reference_sample():
     budget = ex.coupling_budget()
-    assert np.isclose(budget["brms_pt"], 13.999405333680414, rtol=1e-9)
-    assert np.isclose(budget["g_single_hz"], 0.27717408443268726, rtol=1e-9)
-    assert np.isclose(budget["n_spins"], 4362705147179242.0, rtol=1e-9)
-    assert np.isclose(budget["g_ens_mhz"], 18.307563651272343, rtol=1e-9)
+    assert np.isclose(budget["brms_pt"], 13.999405333680414, rtol=1e-9, atol=0)
+    assert np.isclose(budget["g_single_hz"], 0.27717408443268726, rtol=1e-9, atol=0)
+    assert np.isclose(budget["n_spins"], 4362705147179242.0, rtol=1e-9, atol=0)
+    assert np.isclose(budget["g_ens_mhz"], 18.307563651272343, rtol=1e-9, atol=0)
 
 
 def test_budget_filling_factor_scales_g():
     full = ex.coupling_budget(filling_factor=1.0)
     half = ex.coupling_budget(filling_factor=0.5)
-    assert np.isclose(half["g_ens_mhz"], full["g_ens_mhz"] / np.sqrt(2.0), rtol=1e-12)
-    assert np.isclose(half["n_spins"], full["n_spins"], rtol=1e-12)
+    assert np.isclose(half["g_ens_mhz"], full["g_ens_mhz"] / np.sqrt(2.0), rtol=1e-12, atol=0)
+    assert np.isclose(half["n_spins"], full["n_spins"], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------- polaritons
@@ -131,14 +134,14 @@ def test_budget_filling_factor_scales_g():
 
 def test_polariton_resonant_splitting():
     lo, hi = cq.polariton_frequencies(OMEGA_R, OMEGA_R, 11.5)
-    assert np.isclose(hi - lo, 23.0, rtol=1e-12)
-    assert np.isclose(lo + hi, 2 * OMEGA_R, rtol=1e-12)
+    assert np.isclose(hi - lo, 23.0, rtol=1e-12, atol=0)
+    assert np.isclose(lo + hi, 2 * OMEGA_R, rtol=1e-12, atol=0)
 
 
 def test_polariton_zero_coupling():
     lo, hi = cq.polariton_frequencies(OMEGA_R, OMEGA_R + 30.0, 0.0)
-    assert np.isclose(lo, OMEGA_R, rtol=1e-12)
-    assert np.isclose(hi, OMEGA_R + 30.0, rtol=1e-12)
+    assert np.isclose(lo, OMEGA_R, rtol=1e-12, atol=0)
+    assert np.isclose(hi, OMEGA_R + 30.0, rtol=1e-12, atol=0)
     with pytest.raises(ValueError):
         cq.polariton_frequencies(OMEGA_R, OMEGA_R, -1.0)
 
@@ -208,7 +211,7 @@ def test_s21_bare_cavity_lineshape():
     grid = np.linspace(OMEGA_R - 40, OMEGA_R + 40, 16001)
     mag = np.abs(cq.s21_spectrum(grid, res, []))
     peak = np.sqrt(res.kappa_ext1 * res.kappa_ext2) / (res.kappa / 2)
-    assert np.isclose(mag.max(), peak, rtol=1e-6)
+    assert np.isclose(mag.max(), peak, rtol=1e-6, atol=0)
     assert np.isclose(grid[np.argmax(mag)], OMEGA_R, atol=0.01)
     # half-power full width equals kappa
     above = grid[mag**2 >= 0.5 * peak**2]
@@ -218,7 +221,7 @@ def test_s21_bare_cavity_lineshape():
 def test_s21_lossless_symmetric_peak_is_unity():
     res = cq.ResonatorMode(OMEGA_R, 0.0, 1.0, 1.0)
     val = np.abs(cq.s21_spectrum(np.array([OMEGA_R]), res, []))
-    assert np.isclose(val[0], 1.0, rtol=1e-12)
+    assert np.isclose(val[0], 1.0, rtol=1e-12, atol=0)
 
 
 def test_s21_empty_grid_rejected():
@@ -278,7 +281,7 @@ def test_s21_map_zero_coupling_is_field_independent():
     b_grid = np.linspace(60, 90, 7)
     omega_grid = np.linspace(OMEGA_R - 30, OMEGA_R + 30, 51)
     smap = cq.s21_map(b_grid, omega_grid, res, [cq.SpinLine(OMEGA_R + 5 * b_grid, 2.0, 0.0)])
-    assert np.allclose(smap.values, smap.values[0], rtol=1e-12)
+    assert np.allclose(smap.values, smap.values[0], rtol=1e-12, atol=0)
 
 
 def test_s21_map_two_lines_rows_are_spectra_bitwise():
@@ -323,14 +326,37 @@ def test_crossing_field_endpoint_and_failure():
 
 
 def test_nv_crossing_field_value():
-    assert abs(ex.nv_crossing() - 76.4903) < 2e-3
+    assert abs(ex.nv_crossing() - 76.490079) < 1e-5
 
 
 def test_p1_crossing_fields():
     b0, b1, b2 = ex.p1_crossings()
-    assert abs(b0 - 188.738) < 2e-3
-    assert abs(b1 - 192.431) < 2e-3
-    assert abs(b2 - 196.187) < 2e-3
+    assert abs(b0 - 188.738088) < 1e-5
+    assert abs(b1 - 192.430697) < 1e-5
+    assert abs(b2 - 196.187092) < 1e-5
+
+
+def _lab_frame_root(lab, direction, pair, omega_r, bracket):
+    """Crossing of a lab-frame line with the cavity, by Brent's method."""
+    lo, hi = pair
+
+    def detuning(b):
+        vals = np.linalg.eigvalsh(lab(b * direction, AXIS_111))
+        return vals[hi] - vals[lo] - omega_r
+
+    return brentq(detuning, *bracket, xtol=1e-12)
+
+
+@given(st.floats(5300.0, 5500.0))
+@settings(max_examples=10, deadline=None)
+@example(5300.0)
+@example(5500.0)
+def test_crossings_match_the_lab_frame_roots(omega_r):
+    # every crossing lies within 1e-6 mT of Brent's root on the lab-frame Hamiltonian
+    nv = _lab_frame_root(lab_frame_nv, B110, ex.LINE_PAIRS["nv"][0], omega_r, (40.0, 110.0))
+    assert abs(ex.nv_crossing(omega_r) - nv) <= 1e-6
+    for pair, b in zip(ex.LINE_PAIRS["p1"], ex.p1_crossings(omega_r)):
+        assert abs(b - _lab_frame_root(lab_frame_p1, B001, pair, omega_r, (150.0, 230.0))) <= 1e-6
 
 
 def test_p1_transition_ordering():
@@ -361,7 +387,7 @@ def test_p1_map_lines_match_sorted_levels(line_index):
     # crossing search from levels sorted at each field: both must agree
     g = 8.8
     smap = ex.p1_anticrossing_map(line_index, g)
-    freqs = [ex.p1_transition_frequency(b, line_index) for b in smap.b_axis]
-    lines = [cq.SpinLine(np.array(freqs), ex.MAP_LINEWIDTH_MHZ, g)]
+    freqs = ex.p1_transition_frequency(smap.b_axis, line_index)
+    lines = [cq.SpinLine(freqs, ex.MAP_LINEWIDTH_MHZ, g)]
     ref = cq.s21_map(smap.b_axis, smap.omega_axis, ex.resonator_mode(), lines)
     np.testing.assert_allclose(smap.values, ref.values, rtol=1e-9)

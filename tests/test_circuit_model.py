@@ -179,8 +179,8 @@ def test_q_decomposition_uncoupled_tank():
     elems = cm.CircuitElements(0.25, 3.465, 11010.0, cc1=0.0, cc2=0.0)
     f0, q_int, q_e1, q_e2 = cm.q_decomposition(elems)
     l, c = 0.25e-9, 3.465e-12
-    assert np.isclose(f0, 1.0 / (2e6 * np.pi * np.sqrt(l * c)), rtol=1e-12)
-    assert np.isclose(q_int, 11010.0 * np.sqrt(c / l), rtol=1e-12)
+    assert np.isclose(f0, 1.0 / (2e6 * np.pi * np.sqrt(l * c)), rtol=1e-12, atol=0)
+    assert np.isclose(q_int, 11010.0 * np.sqrt(c / l), rtol=1e-12, atol=0)
     assert q_e1 == np.inf and q_e2 == np.inf
 
 
@@ -201,8 +201,8 @@ def test_design_point_hits_measured_q_range():
     """The frozen element set spans Q_ext 3500..85000 with < 0.5 % f0 drift."""
     cc_open = ex.cc_for_qext(ex.Q_EXT_MAX)   # weak coupling
     cc_tight = ex.cc_for_qext(ex.Q_EXT_MIN)
-    assert np.isclose(cc_open, 3.469001682738316, rtol=1e-9)
-    assert np.isclose(cc_tight, 17.196717604373468, rtol=1e-9)
+    assert np.isclose(cc_open, 3.469001682738316, rtol=1e-9, atol=0)
+    assert np.isclose(cc_tight, 17.196717604373468, rtol=1e-9, atol=0)
     f0s = []
     for cc, target in ((cc_open, 85000.0), (cc_tight, 3500.0)):
         f0, q_int, q_e1, q_e2 = cm.q_decomposition(ex.loop_gap_elements(cc))
@@ -210,8 +210,8 @@ def test_design_point_hits_measured_q_range():
         assert abs(combined - target) / target < 1e-6
         assert abs(q_int - 1300.0) / 1300.0 < 0.005
         f0s.append(f0)
-    assert np.isclose(f0s[0], 5402.118996775542, rtol=1e-9)
-    assert np.isclose(f0s[1], 5380.88537789879, rtol=1e-9)
+    assert np.isclose(f0s[0], 5402.118996775542, rtol=1e-9, atol=0)
+    assert np.isclose(f0s[1], 5380.88537789879, rtol=1e-9, atol=0)
     assert abs(f0s[1] - f0s[0]) / f0s[0] < 0.005
 
 

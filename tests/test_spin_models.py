@@ -507,6 +507,18 @@ def test_level_curve_nv_span_monotone():
     assert np.all(np.diff(span) > 0)
 
 
+def _tracked(model, grid):
+    """Tracked levels of a toy model, a callable from the field (mT) to a
+    Hermitian matrix: the matrices are stacked and diagonalized in one call,
+    then ordered by the tracker level_curve uses."""
+    eig = sm.eigensystem(np.array([model(b) for b in grid]))
+    orders = sm._track(eig.vectors, grid)
+    return (
+        np.take_along_axis(eig.values, orders, axis=1),
+        np.take_along_axis(eig.vectors, orders[:, None, :], axis=2),
+    )
+
+
 def _scramble_model():
     """Unitary-conjugated constant spectrum; fast rotation defeats coarse grids."""
     rng = np.random.default_rng(7)
@@ -515,8 +527,8 @@ def _scramble_model():
     gen = (a + a.conj().T) / 2
     d = np.diag(np.arange(dim, dtype=float))
 
-    def model(bvec):
-        u = expm(1j * gen * bvec[2])
+    def model(b):
+        u = expm(1j * gen * b)
         return u @ d @ u.conj().T
 
     return model
@@ -525,14 +537,14 @@ def _scramble_model():
 def test_level_curve_coarse_grid_raises():
     model = _scramble_model()
     with pytest.raises(ValueError, match="refine the field grid"):
-        sm.level_curve(model, [0, 0, 1], None, np.array([0.0, 1.0, 2.0]))
+        _tracked(model, np.array([0.0, 1.0, 2.0]))
 
 
 def test_level_curve_fine_grid_tracks_through_scramble():
     # same model: with enough points the constant eigenvalues stay put
     model = _scramble_model()
-    c = sm.level_curve(model, [0, 0, 1], None, np.linspace(0.0, 2.0, 801))
-    assert np.allclose(c.energies, np.arange(5.0), atol=1e-9)
+    energies, _ = _tracked(model, np.linspace(0.0, 2.0, 801))
+    assert np.allclose(energies, np.arange(5.0), atol=1e-9)
 
 
 @pytest.mark.parametrize("model, lab, b_max", [("nv", lab_frame_nv, 200.0), ("p1", lab_frame_p1, 300.0)])
@@ -558,20 +570,20 @@ def test_level_curve_names_first_ambiguous_step():
     worst = overlap.max(axis=1).min()
     assert worst < 0.5
 
-    def model(bvec):
-        u = np.linalg.matrix_power(q, int(bvec[2] > 1.5) + int(bvec[2] > 3.5))
+    def model(b):
+        u = np.linalg.matrix_power(q, int(b > 1.5) + int(b > 3.5))
         return u @ np.diag(np.arange(6.0)) @ u.conj().T
 
     msg = f"between B = 1 and 2 mT \\(overlap {worst:.3f}\\); refine the field grid"
     with pytest.raises(ValueError, match=msg):
-        sm.level_curve(model, [0, 0, 1], None, np.arange(5.0))
+        _tracked(model, np.arange(5.0))
 
 
 def _lsa_tracked(model, grid):
     """Field-by-field tracking with a global assignment at every step."""
     energies, vectors, prev = [], [], None
     for b in grid:
-        vals, vecs = np.linalg.eigh(np.asarray(model(np.array([0.0, 0.0, b])), dtype=complex))
+        vals, vecs = np.linalg.eigh(np.asarray(model(b), dtype=complex))
         order = np.arange(vals.size)
         if prev is not None:
             row, col = linear_sum_assignment(-np.abs(prev.conj().T @ vecs))
@@ -598,16 +610,16 @@ def test_level_curve_assignment_fallback_matches_per_step_assignment():
     row, col = linear_sum_assignment(-overlap)
     assert overlap[row, col].min() >= 0.5
 
-    def model(bvec):
-        u = np.linalg.matrix_power(q, int(round(bvec[2])))
+    def model(b):
+        u = np.linalg.matrix_power(q, int(round(b)))
         return u @ np.diag([0.0, 1.0, 2.0]) @ u.T
 
     grid = np.arange(5.0)
-    c = sm.level_curve(model, [0, 0, 1], None, grid)
+    tracked_energies, tracked_vectors = _tracked(model, grid)
     energies, vectors = _lsa_tracked(model, grid)
-    assert np.array_equal(c.energies, energies)
-    assert np.array_equal(c.vectors, vectors)
-    assert not np.array_equal(c.energies[-1], [0.0, 1.0, 2.0])  # levels were relabelled
+    assert np.array_equal(tracked_energies, energies)
+    assert np.array_equal(tracked_vectors, vectors)
+    assert not np.array_equal(tracked_energies[-1], [0.0, 1.0, 2.0])  # levels were relabelled
 
 
 def test_level_curve_assignment_fallback_on_a_physical_p1_sweep():
@@ -621,7 +633,7 @@ def test_level_curve_assignment_fallback_on_a_physical_p1_sweep():
     row, col = linear_sum_assignment(-overlap)
     assert overlap[row, col].min() >= 0.5
     c = sm.level_curve("p1", [0, 0, 1], AXIS_111, grid)
-    energies, vectors = _lsa_tracked(lambda bvec: sm.build_p1_hamiltonian(bvec, AXIS_111), grid)
+    energies, vectors = _lsa_tracked(lambda b: sm.build_p1_hamiltonian(b * B001, AXIS_111), grid)
     assert np.array_equal(c.energies, energies)
     assert np.array_equal(c.vectors, vectors)
 
@@ -693,7 +705,7 @@ def test_level_curve_diagonalizes_once(monkeypatch):
 
     monkeypatch.setattr(sm.np.linalg, "eigh", counted)
     grid = np.linspace(1.0, 200.0, 200)
-    for model in ("nv", "p1", _scramble_model()):
+    for model in ("nv", "p1"):
         calls.clear()
         sm.level_curve(model, [0.3, -0.2, 1.0], AXIS_111, grid / 100.0)
         assert len(calls) == 1 and calls[0][0] == 200

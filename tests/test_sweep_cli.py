@@ -176,6 +176,17 @@ def test_parse_initial_levels_up_to_the_defect_dimension():
     (["config", "dump"], "[resonator]\ncx_ff = 1\nz0_ohm = 75\n",
      "missing required circuit key(s) 'l_nh', 'c_pf', 'r_ohm', 'cc1_ff', 'cc2_ff' "
      "in section [resonator] (circuit mode)"),
+    # non-finite numbers used to print nan or inf with exit 0, or end in a traceback
+    (["budget"], NV_MAP.replace("density_ppm = 10", "density_ppm = nan"),
+     "key 'density_ppm' in [sample] is not finite: 'nan'"),
+    (["budget"], NV_MAP.replace("omega_r_mhz = 5390.0", "omega_r_mhz = inf"),
+     "key 'omega_r_mhz' in [resonator] is not finite: 'inf'"),
+    (["levels"], NV_MAP.replace("b_min_mt = 73.0", "b_min_mt = nan"),
+     "key 'b_min_mt' in [sweep] is not finite: 'nan'"),
+    (["map"], NV_MAP.replace("b_max_mt = 80.0", "b_max_mt = inf"),
+     "key 'b_max_mt' in [sweep] is not finite: 'inf'"),
+    (["map", "--noise", "0.01"], NV_MAP + "seed = -1\n", "key 'seed' in [sweep] out of range: -1"),
+    (["fit", "--noise", "0.01"], NV_MAP + "seed = -1\n", "key 'seed' in [sweep] out of range: -1"),
 ])
 def test_config_errors_exit_2_with_one_line_reason(tmp_path, capsys, command, text, reason):
     cfgp = write(tmp_path, "bad.ini", text)
@@ -183,6 +194,20 @@ def test_config_errors_exit_2_with_one_line_reason(tmp_path, capsys, command, te
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["map", "fit"])
+@pytest.mark.parametrize("sigma", ["-0.01", "nan", "inf", "abc"])
+def test_noise_must_be_a_finite_sigma(tmp_path, capsys, command, sigma):
+    cfgp = write(tmp_path, "map.ini", NV_MAP)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfgp, "--noise", sigma])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"spincavity {command}: error: argument --noise: must be a finite sigma >= 0, got '{sigma}'"
+    )
 
 
 def test_parse_circuit_needs_all_elements():
