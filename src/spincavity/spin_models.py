@@ -6,9 +6,13 @@ components below can be used exactly as quoted.  All matrices act on the
 electron (x) nuclear product space, both single-spin bases ordered
 m = +s ... -s.
 
-The Hamiltonian is assembled in the defect frame, z along the symmetry axis,
-because the zero-field and hyperfine tensors are diagonal only there; the lab
-field is rotated in.
+The builders assemble the Hamiltonian in the defect frame, z along the
+symmetry axis, because the zero-field and hyperfine tensors are diagonal only
+there; the lab field is rotated in.  Those terms, and the quadrupole, are
+axial, so they commute with J_z = S_z + I_z.  level_curve therefore builds a
+sweep in the field frame, the defect frame turned about z by the field's
+azimuth, where the field lies in the xz plane and H is real symmetric; it
+diagonalizes that cheaper real stack and turns the eigenvectors back.
 """
 
 import math
@@ -248,13 +252,17 @@ def eigensystem(h):
     """Diagonalize a Hermitian matrix, or an (n, d, d) stack; eigenvalues ascending.
 
     A stack is diagonalized in one call and gives values (n, d) and vectors
-    (n, d, d), each slice equal to the single-matrix result.
+    (n, d, d), each slice equal to the single-matrix result.  A real
+    symmetric input stays real (float64 eigenvectors); any other is complex.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
+    h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
     if h.size:
-        asym = h.conj().swapaxes(-1, -2)
+        # np.conjugate always returns a new array (h.conj() of a real h is h
+        # itself), so the difference can be formed in place without touching h
+        asym = np.conjugate(h).swapaxes(-1, -2)
         if np.max(np.abs(np.subtract(h, asym, out=asym))) > 1e-8:
             raise ValueError("matrix is not Hermitian within tolerance")
         del asym
@@ -310,6 +318,11 @@ def bond_orientations():
 
 
 _BUILDERS = {"nv": build_nv_hamiltonian, "p1": build_p1_hamiltonian}
+# m_s + m_I of each product state, the diagonal of J_z = S_z + I_z
+_JZ = {
+    defect: np.add.outer(s - np.arange(2 * s + 1), [1.0, 0.0, -1.0]).ravel()
+    for defect, s in (("nv", 1.0), ("p1", 0.5))
+}
 
 
 def level_curve(model, b_direction, axis, b_range, params=None):
@@ -323,11 +336,19 @@ def level_curve(model, b_direction, axis, b_range, params=None):
         as the k-th lowest at b_range[0]
 
     The whole sweep is built as one (n, d, d) stack and diagonalized in one
-    call.  Adjacent grid points are matched through the eigenvector overlap
-    |V[i-1]^H V[i]|: the row-wise maximum is taken where it is a permutation,
-    which is then the best global assignment, and the best global assignment
-    is solved for where it is not.  An overlap below 0.5 means the grid is
-    too coarse to follow the levels and raises with the first offending step.
+    call, in the field frame: with e the sweep direction in the defect frame
+    and phi = atan2(e_y, e_x) its azimuth, the builder is given the axis z
+    and the fields b (hypot(e_x, e_y), 0, e_z), so every matrix is real
+    symmetric and a real eigh diagonalizes the stack.  As H(phi) =
+    V H(0) V^H with V = exp(-i phi J_z) diagonal, row k of the field-frame
+    vectors times exp(-i phi (m_s + m_I)_k) gives the returned vectors, the
+    eigenvectors of the builder's defect-frame H; the energies are its
+    eigenvalues to rounding.  Adjacent grid points are matched through the
+    eigenvector overlap |V[i-1]^H V[i]|: the row-wise maximum is taken where
+    it is a permutation, which is then the best global assignment, and the
+    best global assignment is solved for where it is not.  An overlap below 0.5 means the grid is
+    too coarse to follow the levels and raises TrackingError, a ValueError,
+    with the first offending step.
     """
     b_range = np.asarray(b_range, dtype=float)
     if b_range.ndim != 1 or b_range.size < 1:
@@ -346,14 +367,18 @@ def level_curve(model, b_direction, axis, b_range, params=None):
     key = str(model).lower()
     if key not in _BUILDERS:
         raise ValueError(f"unknown model {model!r}, expected 'nv' or 'p1'")
-    h = _BUILDERS[key](b_range[:, None] * direction, axis, params)
-    eig = eigensystem(h)
+    e = rotation_to_z(axis) @ direction
+    fields = np.multiply.outer(b_range, [math.hypot(e[0], e[1]), 0.0, e[2]])
+    h = _BUILDERS[key](fields, (0.0, 0.0, 1.0), params)
+    assert not np.any(h.imag), "field-frame Hamiltonian is not real"
+    eig = eigensystem(h.real)
     del h  # free the stack before tracking
     orders = _track(eig.vectors, b_range)
+    phases = np.exp(-1j * math.atan2(e[1], e[0]) * _JZ[key])
     return LevelCurves(
         b_range,
         np.take_along_axis(eig.values, orders, axis=1),
-        np.take_along_axis(eig.vectors, orders[:, None, :], axis=2),
+        phases[:, None] * np.take_along_axis(eig.vectors, orders[:, None, :], axis=2),
     )
 
 
@@ -432,8 +457,12 @@ def assign(cost):
     return col
 
 
+class TrackingError(ValueError):
+    """The field grid of a sweep is too coarse to follow the levels."""
+
+
 def _ambiguous(b_range, i, overlap):
-    return ValueError(
+    return TrackingError(
         "level tracking ambiguous between B = "
         f"{b_range[i]:g} and {b_range[i + 1]:g} mT (overlap {overlap:.3f}); "
         "refine the field grid"

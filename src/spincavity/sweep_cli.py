@@ -674,7 +674,7 @@ def main(argv=None):
     try:
         cfg = parse_config(text)
         return args.func(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, spin_models.TrackingError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except fitting.FitError as exc:

@@ -11,6 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from spincavity import cavity_qed, experiments, fitting, spin_models, sweep_cli
 
@@ -39,6 +40,32 @@ def test_every_builder_is_a_spin_models_attribute():
     # the tracer re-binds each _BUILDERS entry to the attribute of that name
     for builder in spin_models._BUILDERS.values():
         assert getattr(spin_models, builder.__name__) is builder
+
+
+@pytest.mark.parametrize("model", ["nv", "p1"])
+def test_a_sweep_builds_and_diagonalizes_once(monkeypatch, model):
+    # the tracer counts hamiltonians_built, build.s and eigensystem.calls by
+    # re-binding the _BUILDERS entries and spin_models.eigensystem; a sweep
+    # that built or diagonalized piecewise, or through other names, would
+    # change those counts
+    grid = np.linspace(5.0, 105.0, 200)
+    builds, diagonalized = [], []
+    build, eigensystem = spin_models._BUILDERS[model], spin_models.eigensystem
+
+    def counted_build(b_dc, axis, params=None):
+        builds.append(np.shape(b_dc))
+        return build(b_dc, axis, params)
+
+    def counted_eigensystem(h):
+        diagonalized.append(np.shape(h))
+        return eigensystem(h)
+
+    monkeypatch.setitem(spin_models._BUILDERS, model, counted_build)
+    monkeypatch.setattr(spin_models, "eigensystem", counted_eigensystem)
+    spin_models.level_curve(model, [0.3, -0.2, 1.0], experiments.AXIS_111, grid)
+    dim = spin_models.DIMENSION[model]
+    assert builds == [(200, 3)]
+    assert diagonalized == [(200, dim, dim)]
 
 
 def test_fits_workload_builds_its_inputs(monkeypatch):

@@ -6,6 +6,9 @@ instead of the field) and cross-checks the spectrum; both paths agree to
 better than 1e-11 MHz.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -318,6 +321,30 @@ def test_eigensystem_stack_matches_single_matrices():
         assert np.array_equal(eig.vectors[k], one.vectors)
 
 
+def test_eigensystem_keeps_real_input_real_and_leaves_every_input_unchanged():
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(2, 6, 5, 5))
+    real = a + a.swapaxes(1, 2)
+    cplx = real + 1j * (b - b.swapaxes(1, 2))
+    for h, dtype in [(real, float), (real[0], float), (cplx, complex), (cplx[0], complex)]:
+        before = h.copy()
+        eig = sm.eigensystem(h)
+        assert np.array_equal(h, before)
+        assert eig.values.dtype == float and eig.vectors.dtype == dtype
+    eig, as_complex = sm.eigensystem(real), sm.eigensystem(real.astype(complex))
+    assert np.max(np.abs(eig.values - as_complex.values)) < 1e-12 * np.max(np.abs(eig.values))
+    rebuilt = eig.vectors @ (eig.values[:, :, None] * eig.vectors.swapaxes(1, 2))
+    assert np.max(np.abs(rebuilt - real)) < 1e-12 * np.max(np.abs(real))
+
+
+def test_eigensystem_rejects_a_non_symmetric_real_stack():
+    h = np.zeros((4, 3, 3))
+    h[1, 2, 0] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        sm.eigensystem(h)
+    assert np.count_nonzero(h) == 1 and h[1, 2, 0] == 1.0
+
+
 def test_eigensystem_rejects_bad_stacks():
     h = np.zeros((4, 3, 3), dtype=complex)
     h[2, 0, 1] = 1.0  # one non-Hermitian matrix in the stack
@@ -580,7 +607,7 @@ def _scramble_model():
 
 def test_level_curve_coarse_grid_raises():
     model = _scramble_model()
-    with pytest.raises(ValueError, match="refine the field grid"):
+    with pytest.raises(sm.TrackingError, match="refine the field grid"):
         _tracked(model, np.array([0.0, 1.0, 2.0]))
 
 
@@ -619,15 +646,71 @@ def test_level_curve_names_first_ambiguous_step():
         return u @ np.diag(np.arange(6.0)) @ u.conj().T
 
     msg = f"between B = 1 and 2 mT \\(overlap {worst:.3f}\\); refine the field grid"
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(sm.TrackingError, match=msg):
         _tracked(model, np.arange(5.0))
 
 
+def _jz(s):
+    """Diagonal of J_z = S_z + I_z for a spin-s electron (x) I = 1 nitrogen."""
+    sz, iz = sm.spin_operators(s)[2], sm.spin_operators(1.0)[2]
+    return np.diag(np.kron(sz, np.eye(3)) + np.kron(np.eye(sz.shape[0]), iz)).real
+
+
+def _unit_or_zero(v):
+    n = np.linalg.norm(v)
+    return v / n if n > 1e-3 else None
+
+
+_UNIT_VECTORS = st.lists(st.floats(-1, 1), min_size=3, max_size=3).map(
+    lambda v: _unit_or_zero(np.array(v))).filter(lambda v: v is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(["nv", "p1"]),
+    axis=st.one_of(st.sampled_from([B001, -B001, AXIS_111]), _UNIT_VECTORS),
+    direction=st.one_of(st.sampled_from(["axis", "-axis"]), _UNIT_VECTORS),
+    start=st.floats(-120.0, 120.0),
+    step=st.floats(0.05, 2.0),
+    n=st.integers(1, 60),
+)
+@example(model="nv", axis=B001, direction="axis", start=-3.0, step=0.25, n=25)
+@example(model="p1", axis=-B001, direction="axis", start=-3.0, step=0.25, n=25)
+@example(model="nv", axis=-B001, direction=B110, start=-10.0, step=0.5, n=41)
+@example(model="p1", axis=B001, direction=B110, start=-10.0, step=0.5, n=41)
+def test_level_curve_field_frame_matches_the_defect_frame(model, axis, direction, start, step, n):
+    """Energies and vectors of the real field-frame stack against the
+    builder's own stack: along the axis (b_perp = 0), through zero and at
+    negative fields, with axis +z and -z (both special cases of rotation_to_z)."""
+    if isinstance(direction, str):
+        direction = axis if direction == "axis" else -axis
+    grid = start + step * np.arange(n)
+    built = []
+
+    def recording(b_dc, ax, params=None):
+        built.append(build(b_dc, ax, params))
+        return built[-1]
+
+    build = sm._BUILDERS[model]
+    with mock.patch.dict(sm._BUILDERS, {model: recording}):
+        c = sm.level_curve(model, direction, axis, grid)
+    assert len(built) == 1 and built[0].dtype == complex
+    assert not np.any(built[0].imag)
+    h = build(grid[:, None] * direction, axis)
+    ref = np.linalg.eigvalsh(h)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(np.sort(c.energies, axis=1) - ref) <= 1e-9 * scale)
+    v = c.vectors
+    assert np.max(np.abs(h @ v - v * c.energies[:, None, :])) <= 1e-9
+    assert np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(v.shape[1]))) <= 1e-9
+
+
 def _lsa_tracked(model, grid):
-    """Field-by-field tracking with a global assignment at every step."""
+    """Field-by-field tracking with a global assignment at every step, on the
+    model's own dtype (a real symmetric model keeps real eigenvectors)."""
     energies, vectors, prev = [], [], None
     for b in grid:
-        vals, vecs = np.linalg.eigh(np.asarray(model(b), dtype=complex))
+        vals, vecs = np.linalg.eigh(np.asarray(model(b)))
         order = np.arange(vals.size)
         if prev is not None:
             row, col = linear_sum_assignment(-np.abs(prev.conj().T @ vecs))
@@ -677,9 +760,15 @@ def test_level_curve_assignment_fallback_on_a_physical_p1_sweep():
     row, col = linear_sum_assignment(-overlap)
     assert overlap[row, col].min() >= 0.5
     c = sm.level_curve("p1", [0, 0, 1], AXIS_111, grid)
-    energies, vectors = _lsa_tracked(lambda b: sm.build_p1_hamiltonian(b * B001, AXIS_111), grid)
+    # level_curve diagonalizes the real stack of the frame turned by the
+    # field's azimuth phi, then gives row k of the vectors the phase
+    # exp(-i phi (m_s + m_I)_k); the oracle tracks that same real stack
+    e = sm.rotation_to_z(AXIS_111) @ B001
+    field = np.array([math.hypot(e[0], e[1]), 0.0, e[2]])
+    energies, vectors = _lsa_tracked(lambda b: sm.build_p1_hamiltonian(b * field, B001).real, grid)
+    phases = np.exp(-1j * math.atan2(e[1], e[0]) * _jz(0.5))
     assert np.array_equal(c.energies, energies)
-    assert np.array_equal(c.vectors, vectors)
+    assert np.array_equal(c.vectors, phases[:, None] * vectors)
 
 
 def _assignment_cost(kind, n, seed):

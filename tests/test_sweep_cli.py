@@ -48,6 +48,12 @@ omega_max_mhz = 5435.0
 omega_points = 451
 """
 
+P1_COARSE = (ROOT / "configs" / "p1_20ppm_b001.ini").read_text().replace(
+    "b_min_mt = 186.0", "b_min_mt = 0.5").replace(
+    "b_max_mt = 199.0", "b_max_mt = 300").replace("b_points = 105", "b_points = 3")
+COARSE_REASON = ("level tracking ambiguous between B = 0.5 and 150.25 mT (overlap 0.417); "
+                 "refine the field grid")
+
 CIRCUIT_ONLY = """
 [resonator]
 l_nh = 0.25
@@ -187,6 +193,9 @@ def test_parse_initial_levels_up_to_the_defect_dimension():
      "key 'b_max_mt' in [sweep] is not finite: 'inf'"),
     (["map", "--noise", "0.01"], NV_MAP + "seed = -1\n", "key 'seed' in [sweep] out of range: -1"),
     (["fit", "--noise", "0.01"], NV_MAP + "seed = -1\n", "key 'seed' in [sweep] out of range: -1"),
+    # a grid too coarse to track the levels used to end in a traceback, exit 1
+    pytest.param(["levels"], P1_COARSE, COARSE_REASON, id="levels-coarse-p1-grid"),
+    pytest.param(["map"], P1_COARSE, COARSE_REASON, id="map-coarse-p1-grid"),
 ])
 def test_config_errors_exit_2_with_one_line_reason(tmp_path, capsys, command, text, reason):
     cfgp = write(tmp_path, "bad.ini", text)
