@@ -360,8 +360,8 @@ def level_curve(model, b_direction, axis, b_range, params=None):
 
     direction = np.asarray(b_direction, dtype=float)
     norm = np.linalg.norm(direction)
-    if not np.isfinite(norm) or norm == 0:
-        raise ValueError("b_direction must be a nonzero 3-vector")
+    if direction.shape != (3,) or not np.isfinite(norm) or norm == 0:
+        raise ValueError("b_direction must be a finite nonzero 3-vector")
     direction = direction / norm
 
     key = str(model).lower()

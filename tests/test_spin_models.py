@@ -559,6 +559,9 @@ def test_level_curve_input_validation():
         sm.level_curve("nv", B110, AXIS_111, np.array([1.0, 3.0, 2.0]))
     with pytest.raises(ValueError):
         sm.level_curve("nv", [0, 0, 0], AXIS_111, np.array([1.0, 2.0]))
+    for direction in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="b_direction must be a finite nonzero 3-vector"):
+            sm.level_curve("nv", direction, AXIS_111, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         sm.level_curve("xy", B110, AXIS_111, np.array([1.0, 2.0]))
 
