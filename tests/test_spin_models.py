@@ -659,13 +659,13 @@ def _jz(s):
     return np.diag(np.kron(sz, np.eye(3)) + np.kron(np.eye(sz.shape[0]), iz)).real
 
 
-def _unit_or_zero(v):
+def _normalized_or_none(v):
     n = np.linalg.norm(v)
     return v / n if n > 1e-3 else None
 
 
 _UNIT_VECTORS = st.lists(st.floats(-1, 1), min_size=3, max_size=3).map(
-    lambda v: _unit_or_zero(np.array(v))).filter(lambda v: v is not None)
+    lambda v: _normalized_or_none(np.array(v))).filter(lambda v: v is not None)
 
 
 @settings(max_examples=60, deadline=None)
