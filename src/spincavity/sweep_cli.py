@@ -11,7 +11,9 @@ non-convergence, 4 input/output or data-format error.
 
 import argparse
 import configparser
+import itertools
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -283,19 +285,21 @@ def _omega_grid(sweep):
     return np.linspace(sweep.omega_min_mhz, sweep.omega_max_mhz, sweep.omega_points)
 
 
-def _write(out_path, text):
+def _write(out_path, chunks):
+    """Write the str chunks, in order, to out_path, or to stdout when it is None."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 # 10**k, correctly rounded and exact for k <= 22
 _POW10 = np.array([float(10**k) for k in range(300)])
 # the sign, first digit, '.' and other digits of a row laid out for exponent 0
 _MANTISSA_COLS = [0, 6, 7, *range(8, 25, 2)]
-# values per block of _format_g10, few enough that its work arrays stay in cache
+# lines per block of _write_csv and characters per block of _lines: few enough
+# that the work arrays of a block stay in cache
 _BLOCK = 1 << 14
 
 
@@ -316,14 +320,6 @@ def _format_g10(x):
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.zeros((flat.size, 25), np.uint8)
-    for start in range(0, flat.size, _BLOCK):
-        _format_rows(flat[start : start + _BLOCK], out[start : start + _BLOCK])
-    used = out.any(axis=0)
-    return out[:, used].reshape(x.shape + (int(used.sum()),))
-
-
-def _format_rows(flat, out):
-    """Write the padded text of each value of `flat` into its row of `out`."""
     ax = np.abs(flat)
     zero = ax == 0.0
     fast = zero | ((ax >= 1e-289) & (ax < np.inf))
@@ -369,17 +365,35 @@ def _format_rows(flat, out):
     if slow.size:
         texts = np.array(["%.10g" % v for v in flat[slow].tolist()], dtype="S25")
         out[slow] = texts.view(np.uint8).reshape(-1, 25)
+    used = out.any(axis=0)
+    return out[:, used].reshape(x.shape + (int(used.sum()),))
 
 
 def _write_csv(out_path, header, columns):
     """One line per element of the broadcast `columns`, in C order.
 
     Every number is Python's '%.10g' of it (10 significant digits, correctly
-    rounded), and ints are written as floats.  The columns of one shape are
-    formatted together in one array pass before they are broadcast, so a grid
-    axis shaped (n, 1) or (n,) is formatted once per value, not once per line.
+    rounded), and ints are written as floats.  The lines are formatted and
+    written in blocks of whole leading-axis rows, about _BLOCK lines each, so
+    the memory used is that of a block, not of the file.  A column that does
+    not vary along the leading axis is formatted whole in every block.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    step = max(1, _BLOCK // max(1, int(np.prod(shape[1:]))))
+    whole = [c.ndim < len(shape) or len(c) == 1 for c in columns]
+    blocks = (_csv_lines([c if w else c[i : i + step] for c, w in zip(columns, whole)])
+              for i in range(0, shape[0], step))
+    _write(out_path, itertools.chain([header + "\n"], blocks))
+
+
+def _csv_lines(columns):
+    """The text of the lines of a block of `_write_csv`'s columns.
+
+    The columns of one shape are formatted together in one array pass before
+    they are broadcast, so a grid axis shaped (n, 1) or (n,) is formatted once
+    per value, not once per line.
+    """
     cells = [None] * len(columns)
     for shape in dict.fromkeys(c.shape for c in columns):
         ks = [k for k, c in enumerate(columns) if c.shape == shape]
@@ -391,7 +405,7 @@ def _write_csv(out_path, header, columns):
         lines[..., end - 1 - cell.shape[-1] : end - 1] = cell
     lines[..., ends - 1] = ord(",")
     lines[..., -1] = ord("\n")
-    _write(out_path, header + "\n" + lines.tobytes().translate(None, b"\0").decode("ascii"))
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def cmd_levels(cfg, args):
@@ -457,64 +471,96 @@ def cmd_budget(cfg, args):
         f"n_spins = {budget['n_spins']:.6g}",
         f"g_ens_mhz = {budget['g_ens_mhz']:.6g}",
     ]
-    _write(args.out, "\n".join(text) + "\n")
+    _write(args.out, ["\n".join(text) + "\n"])
     return 0
 
 
-def _line_number(lines, row):
-    """File line of data row `row` of a CSV read as `lines`; blank lines hold no row."""
-    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
+def _lines(fh):
+    """The lines of text file `fh` as str.splitlines() cuts its whole text.
+
+    They are read in blocks of about _BLOCK characters that end at a line end.
+    splitlines() also ends a line at \\x0b, \\x0c, \\x1c-\\x1e, \\x85, \\u2028
+    and \\u2029, which loadtxt would read as blanks around a field.
+    """
+    blocks = iter(lambda: (fh.read(_BLOCK) + fh.readline()).splitlines(), [])
+    return itertools.chain.from_iterable(blocks)
+
+
+def _data_lines(fh):
+    """(line number, text) of each data line of CSV file `fh`; blank lines hold no row."""
+    return ((n, line) for n, line in enumerate(_lines(fh), start=1) if n > 1 and line.strip())
+
+
+def _line_number(path, row):
+    """File line of data row `row` of the CSV at `path`."""
+    with open(path, encoding="utf-8") as fh:
+        return next(itertools.islice(_data_lines(fh), row, None))[0]
+
+
+def _undecodable_line(path):
+    """Line of the first bytes of the file at `path` that are not UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        # such bytes read as lone surrogates, which encoding replaces
+        return next(n for n, line in enumerate(_lines(fh), start=1)
+                    if line.encode(errors="replace").decode() != line)
+
+
+def _walk(path, fh, width):
+    """The data rows of CSV file `fh` parsed by float(), which takes what loadtxt
+    takes and more; the first line that neither takes is named in a CsvError."""
+    fh.seek(0)
+    rows = []
+    for n, line in _data_lines(fh):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise CsvError(f"{path}: line {n}: expected {width} fields, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise CsvError(f"{path}: line {n}: non-numeric field")
+    if not rows:
+        raise CsvError(f"{path}: no data rows")
+    return np.array(rows)
 
 
 def _read_csv(path, expected_header):
-    """The data rows as a float array, and the file's lines to name a bad row by."""
+    """The data rows as a float array, parsed as the file is read."""
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = _lines(fh)
+            first = next(lines, None)
+            if first is None:
+                raise CsvError(f"{path}: empty file")
+            header, want = [h.strip() for h in first.split(",")], ",".join(expected_header)
+            if header[: len(expected_header)] != list(expected_header):
+                raise CsvError(f"{path}: line 1: expected header starting with {want}")
+            try:
+                with warnings.catch_warnings():
+                    # no rows reads as shape (0, 1) with a warning; the walk reports it
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except UnicodeDecodeError:  # a ValueError, but no spelling the walk could read
+                raise
+            except ValueError:
+                data = None
+            if data is None or data.shape[1] != len(header):
+                data = _walk(path, fh, len(header))
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}")
-    if not lines:
-        raise CsvError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[: len(expected_header)] != list(expected_header):
-        raise CsvError(
-            f"{path}: line 1: expected header starting with {','.join(expected_header)}"
-        )
-    data = None
-    try:
-        if any(lines[1:]):  # else loadtxt warns of no data; the walk below reports it
-            data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        pass
-    if data is None or data.shape[1] != len(header):
-        # loadtxt takes a subset of what float() takes: the line walk parses the
-        # rest, and names the line at fault in what neither takes
-        rows = []
-        for n, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise CsvError(f"{path}: line {n}: expected {len(header)} fields, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise CsvError(f"{path}: line {n}: non-numeric field")
-        if not rows:
-            raise CsvError(f"{path}: no data rows")
-        data = np.array(rows)
+    except UnicodeDecodeError:
+        raise CsvError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text") from None
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        raise CsvError(f"{path}: line {_line_number(lines, bad[0])}: non-finite field")
-    return data, lines
+        raise CsvError(f"{path}: line {_line_number(path, bad[0])}: non-finite field")
+    return data
 
 
 def _map_from_csv(path):
-    data, lines = _read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
+    data = _read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
     # a negative magnitude would enter mag * exp(i arg) as a phase flip
     negative = np.flatnonzero(data[:, 2] < 0)
     if negative.size:
-        raise CsvError(f"{path}: line {_line_number(lines, negative[0])}: negative S21_mag")
+        raise CsvError(f"{path}: line {_line_number(path, negative[0])}: negative S21_mag")
     b_vals = data[:, 0]
     b_axis, first_index = np.unique(b_vals, return_index=True)
     b_axis = b_vals[np.sort(first_index)]
@@ -529,12 +575,12 @@ def _map_from_csv(path):
     inconsistent = (blocks[:, :, 0] != b_axis[:, None]) | (blocks[:, :, 1] != omega_axis)
     bad = np.flatnonzero(inconsistent.any(axis=1))
     if bad.size:
-        raise CsvError(f"{path}: line {_line_number(lines, bad[0] * n_w)}: inconsistent grid block")
+        raise CsvError(f"{path}: line {_line_number(path, bad[0] * n_w)}: inconsistent grid block")
     return _checked(path, cavity_qed.SpectrumMap, b_axis, omega_axis, mag * np.exp(1j * arg))
 
 
 def _trace_from_csv(path):
-    data, _ = _read_csv(path, ("f_MHz", "S21_mag"))
+    data = _read_csv(path, ("f_MHz", "S21_mag"))
     return _checked(path, fitting.Spectrum1D, data[:, 0], data[:, 1])
 
 
@@ -591,7 +637,7 @@ def cmd_fit(cfg, args):
         f"converged = {'true' if result.converged else 'false'}",
         f"iterations = {result.iterations}",
     ]
-    _write(args.out, "\n".join(text) + "\n")
+    _write(args.out, ["\n".join(text) + "\n"])
     return 0 if result.converged else 3
 
 
@@ -611,7 +657,7 @@ def cmd_circuit(cfg, args):
 
 
 def cmd_config_dump(cfg, args):
-    _write(args.out, dump_config(cfg))
+    _write(args.out, [dump_config(cfg)])
     return 0
 
 
@@ -666,9 +712,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: cannot read config: {exc}\n")
         return 4
     try:

@@ -7,7 +7,9 @@ entry point would, with configs and data written to tmp_path.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -691,8 +693,12 @@ def _shipped(name):
     return cfgp, cli.parse_config(Path(cfgp).read_text())
 
 
+@pytest.mark.parametrize("block", [1, 7, 500, None])
 @pytest.mark.parametrize("name", ["nv_10ppm_b110.ini", "p1_20ppm_b001.ini"])
-def test_levels_csv_matches_the_per_row_text(tmp_path, name):
+def test_levels_csv_matches_the_per_row_text(tmp_path, monkeypatch, name, block):
+    # block: lines per written block, None the default
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK", block)
     cfgp, cfg = _shipped(name)
     direction, axis = cli._field_setup(cfg.sample)
     grid = cli._b_grid(cfg.sweep)
@@ -738,6 +744,211 @@ def test_circuit_csv_matches_the_per_row_text(tmp_path, capsys):
     expected = _csv_text_per_row("f_MHz,S21_mag,S21_arg", (grid, np.abs(s21), np.angle(s21)))
     assert out.read_bytes() == expected.encode()
     capsys.readouterr()
+
+
+def _small_map(n_b, n_f):
+    """A map whose axis values need up to 14 significant digits, with drawn S21."""
+    rng = np.random.default_rng(100 * n_b + n_f)
+    values = rng.normal(size=(n_b, n_f)) + 1j * rng.normal(size=(n_b, n_f))
+    values[0, :2] = complex(0.0, -0.0), complex(5e-324, 1e-17)
+    b_axis = 75.123456789012 + np.arange(n_b) / 3.0
+    return cli.cavity_qed.SpectrumMap(b_axis, 5389.0123456789 + 0.7 * np.arange(n_f), values)
+
+
+@pytest.mark.parametrize("block", [1, 7, 500])
+@pytest.mark.parametrize("shape", [(40, 13), (9, 3), (1, 13)])
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_map_csv_in_blocks_matches_the_per_row_text(tmp_path, monkeypatch, capsys, block,
+                                                    shape, to_stdout):
+    # blocks of whole B rows, the last one short, with the (n, 1) B column and
+    # the (m,) f column formatted in each block; to a file and to stdout
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    smap = _small_map(*shape)
+    monkeypatch.setattr(cli, "_synthesize_map", lambda cfg, noise: smap)
+    out = tmp_path / "map.csv"
+    argv = ["map", "--config", str(ROOT / "configs" / "nv_10ppm_b110.ini")]
+    assert cli.main(argv + ([] if to_stdout else ["--out", str(out)])) == 0
+    captured = capsys.readouterr()
+    text = captured.out if to_stdout else out.read_bytes().decode()
+    assert text == _map_text_per_row(smap)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("block", [1, 7, 500])
+def test_csv_columns_broadcast_in_blocks(tmp_path, monkeypatch, block):
+    # a column shaped (1, m) holds one row for every block, as (m,) does
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    b, f = np.arange(9.0)[:, None] / 7.0, np.linspace(-1.0, 1.0, 5)
+    columns = (b, f[None, :], f, b * f + 1e-300)
+    path = tmp_path / "grid.csv"
+    cli._write_csv(str(path), "a,b,c,d", columns)
+    expected = _csv_text_per_row("a,b,c,d", [c.ravel() for c in np.broadcast_arrays(*columns)])
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("block", [1, 7, 500, None])
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_transitions_csv_with_no_lines_is_its_header(tmp_path, monkeypatch, capsys, block,
+                                                      to_stdout):
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK", block)
+    empty = (np.zeros(0, int), np.zeros(0), np.zeros(0), np.zeros(0, int), np.zeros(0, int))
+    monkeypatch.setattr(cli.spin_models, "transition_spectrum", lambda eig, initial_levels: empty)
+    out = tmp_path / "transitions.csv"
+    argv = ["transitions", "--config", str(ROOT / "configs" / "nv_10ppm_b110.ini")]
+    assert cli.main(argv + ([] if to_stdout else ["--out", str(out)])) == 0
+    text = capsys.readouterr().out if to_stdout else out.read_bytes().decode()
+    assert text == "B_mT,f_MHz,weight,from_level,to_level\n"
+
+
+def test_csv_write_and_read_memory_is_bounded_by_the_block(tmp_path):
+    # a 400 x 501 map (200,400 lines, 8.9 MB); tracemalloc sees numpy's buffers
+    rng = np.random.default_rng(15)
+    columns = (np.linspace(180.0, 200.0, 400)[:, None], np.linspace(5300.0, 5500.0, 501),
+               rng.random((400, 501)), rng.uniform(-np.pi, np.pi, (400, 501)))
+    path = str(tmp_path / "map.csv")
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, "B_mT,f_MHz,S21_mag,S21_arg", columns)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        data = cli._read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) > 8_000_000
+    assert data.shape == (400 * 501, 4)
+    assert write_peak < 8_000_000
+    assert read_peak < data.nbytes + 4_000_000
+
+
+def _read_csv_from_lines(path, expected_header):
+    """The CSV reader as it was before it streamed: the whole file as a list of
+    lines, then one loadtxt call over them, with the float() walk as fallback."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise cli.CsvError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if header[: len(expected_header)] != list(expected_header):
+        raise cli.CsvError(
+            f"{path}: line 1: expected header starting with {','.join(expected_header)}"
+        )
+    data = None
+    try:
+        if any(lines[1:]):
+            data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        pass
+    if data is None or data.shape[1] != len(header):
+        rows = []
+        for n, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != len(header):
+                raise cli.CsvError(
+                    f"{path}: line {n}: expected {len(header)} fields, got {len(parts)}"
+                )
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise cli.CsvError(f"{path}: line {n}: non-numeric field")
+        if not rows:
+            raise cli.CsvError(f"{path}: no data rows")
+        data = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        numbered = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        raise cli.CsvError(f"{path}: line {numbered[bad[0]]}: non-finite field")
+    return data
+
+
+# \x0c and the other characters at which str.splitlines() ends a line, but
+# which loadtxt reads as blanks around a field
+_LINE_BREAKS_WITHIN = ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"]
+_PADDING = st.sampled_from(["", "", " ", "\t", *_LINE_BREAKS_WITHIN])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    # spellings that only float() takes, and values the reader must refuse
+    st.sampled_from(["1_0", " 5 ", "\uff15.\uff12", "\u0663", "nan", "-inf", "half", "", "0x1"]),
+)
+_FIELD = st.tuples(_PADDING, _NUMBER, _PADDING).map("".join)
+_CSV_LINE = st.one_of(
+    st.lists(_FIELD, min_size=2, max_size=2).map(",".join),
+    st.lists(_FIELD, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", " ", " \t ", *_LINE_BREAKS_WITHIN]),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    header = draw(st.sampled_from(["f_MHz,S21_mag", " f_MHz , S21_mag", "f_MHz,S21_mag\x0c",
+                                   "f_MHz,volts", ""]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join([header] + draw(st.lists(_CSV_LINE, max_size=8)))
+    return text + end if draw(st.booleans()) else text
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path, ("f_MHz", "S21_mag"))
+    except cli.CsvError as exc:
+        return str(exc)
+
+
+@given(_csv_texts(), st.sampled_from([1, 2, 3, 7, 1 << 14]))
+@example("f_MHz,S21_mag\n5389.0,0.2\n5390.0,0.3\n", 1 << 14)
+@example("f_MHz,S21_mag\r\n5389.0,0.2\r\n\r\n5390.0,nan", 1 << 14)
+@example("f_MHz,S21_mag\n5389.0\x0c,0.2\n5390.0,0.3\n", 1 << 14)
+@example("f_MHz,S21_mag\n5389.0,0.2\x0c\n5390.0,inf\n", 3)
+@example("f_MHz,S21_mag\n1_0,0.2\n \n\uff15,0.3", 2)
+@example("f_MHz,S21_mag\n", 1 << 14)
+@example("f_MHz,S21_mag", 1)
+@example("", 1)
+@settings(max_examples=300, deadline=None)
+def test_csv_reader_matches_the_line_list_reader(tmp_path_factory, text, block):
+    path = str(tmp_path_factory.mktemp("oracle") / "in.csv")
+    with open(path, "wb") as fh:
+        fh.write(text.encode())
+    expected = _read_outcome(_read_csv_from_lines, path)
+    with mock.patch.object(cli, "_BLOCK", block):
+        got = _read_outcome(cli._read_csv, path)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("line", [1, 2, 3001])
+def test_csv_that_is_not_utf8_exits_4(tmp_path, capsys, line):
+    # a Latin-1 'µ' (byte 0xb5) as some instrument exports write it; line 3001
+    # lies past the first block the reader takes.  Line 2 spells its number in
+    # full-width digits: UTF-8 that is not ASCII, and that loadtxt refuses
+    lines = [b"f_MHz,S21_mag"] + [b"%.1f,0.5" % (5000.0 + k) for k in range(3000)]
+    lines[1] = "\uff15\uff10\uff10\uff10.0,0.5".encode()
+    lines[line - 1] += b" \xb5"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    cfgp = str(ROOT / "configs" / "loop_gap.ini")
+    assert cli.main(["fit", "--kind", "lorentzian", "--config", cfgp, "--in", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {path}: line {line}: not UTF-8 text\n"
+
+
+def test_config_that_is_not_utf8_exits_4(tmp_path, capsys):
+    text = NV_MAP.encode()
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(text + b"# a 5 \xb5m film\n")
+    assert cli.main(["levels", "--config", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cannot read config: 'utf-8' codec can't decode byte 0xb5 in position "
+        f"{len(text) + 6}: invalid start byte\n"
+    )
 
 
 def test_missing_files_exit_4(tmp_path, capsys):
