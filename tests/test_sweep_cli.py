@@ -693,8 +693,10 @@ def _shipped(name):
     return cfgp, cli.parse_config(Path(cfgp).read_text())
 
 
-@pytest.mark.parametrize("block", [1, 7, 500, None])
-@pytest.mark.parametrize("name", ["nv_10ppm_b110.ini", "p1_20ppm_b001.ini"])
+@pytest.mark.parametrize("name, block", [
+    pytest.param(name, block, id=name if block is None else f"{name}-block{block}")
+    for block in (None, 1, 7, 500) for name in ("nv_10ppm_b110.ini", "p1_20ppm_b001.ini")
+])
 def test_levels_csv_matches_the_per_row_text(tmp_path, monkeypatch, name, block):
     # block: lines per written block, None the default
     if block is not None:
