@@ -3,8 +3,8 @@
 All fits run on a small Levenberg-Marquardt engine kept in this module so
 that results are bit-deterministic for identical inputs: fixed damping
 schedule, no randomized restarts, convergence on relative parameter step.
-Lineshape Jacobians are analytic; the avoided-crossing model uses central
-finite differences.
+Every model returns its values together with a function that builds its
+analytic Jacobian from the same evaluation.
 """
 
 from dataclasses import dataclass
@@ -51,37 +51,45 @@ MAX_ITER = 200
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _levmar(residual, jacobian, p0):
+def _levmar(evaluate, p0):
     """Damped least squares; returns (params, rms, converged, iterations).
 
-    Steps with non-finite cost (transient overflow in a model evaluation)
-    count as rejected and only raise the damping, so warnings are silenced.
+    evaluate(p) returns the residual at p and a zero-argument function that
+    builds the Jacobian there from the same evaluation.  The engine calls that
+    function only at the start and at accepted points, so a rejected trial
+    costs one residual.  Steps with non-finite cost (transient overflow in a
+    model evaluation) count as rejected and only raise the damping, so
+    warnings are silenced; a non-finite cost at the start is a FitError.
     """
     p = np.asarray(p0, dtype=float).copy()
-    r = residual(p)
+    r, jacobian = evaluate(p)
     cost = float(r @ r)
+    if not np.isfinite(cost):
+        raise FitError("model is not finite at the start values")
     lam = 1e-3
     converged = False
     it = 0
     while it < MAX_ITER:
         it += 1
-        jac = jacobian(p)
+        jac = jacobian()
         a = jac.T @ jac
         g = jac.T @ r
-        diag = np.diag(a).copy()
-        diag[diag <= 0] = 1.0
+        a_diag = np.diag(a)
+        diag = np.where(a_diag <= 0, 1.0, a_diag)
+        damped = a.copy()
         stepped = False
         while lam < 1e14:
+            np.fill_diagonal(damped, a_diag + lam * diag)
             try:
-                delta = np.linalg.solve(a + lam * np.diag(diag), -g)
+                delta = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_new = residual(p + delta)
+            r_new, jac_new = evaluate(p + delta)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
                 p = p + delta
-                r, cost = r_new, cost_new
+                r, cost, jacobian = r_new, cost_new, jac_new
                 lam = max(lam / 3.0, 1e-12)
                 stepped = True
                 rel = np.max(np.abs(delta) / np.maximum(np.abs(p), 1e-8))
@@ -96,44 +104,57 @@ def _levmar(residual, jacobian, p0):
     return p, rms, converged, it
 
 
-def lorentzian_model(omega, center, fwhm, amplitude, baseline):
-    hw = 0.5 * fwhm
-    return baseline + amplitude * hw**2 / ((omega - center) ** 2 + hw**2)
-
-
-def _lorentzian_jac(omega, center, fwhm, amplitude, baseline):
+def _lorentzian(omega, center, fwhm, amplitude, baseline):
+    """The Lorentzian's values and a function building its Jacobian from them."""
     hw = 0.5 * fwhm
     u = omega - center
     den = u**2 + hw**2
-    jac = np.empty((omega.size, 4))
-    jac[:, 0] = amplitude * hw**2 * 2 * u / den**2
-    jac[:, 1] = amplitude * hw * u**2 / den**2
-    jac[:, 2] = hw**2 / den
-    jac[:, 3] = 1.0
-    return jac
+
+    def jacobian():
+        den2 = den**2
+        jac = np.empty((4, omega.size))  # one contiguous row per parameter
+        jac[0] = amplitude * hw**2 * 2 * u / den2
+        jac[1] = amplitude * hw * u**2 / den2
+        jac[2] = hw**2 / den
+        jac[3] = 1.0
+        return jac.T
+
+    return baseline + amplitude * hw**2 / den, jacobian
 
 
-def fano_model(omega, center, width, q_asym, amplitude, baseline):
-    """Fano profile normalized so the amplitude stays finite as q grows."""
-    hw = 0.5 * width
-    u = omega - center
-    return baseline + amplitude * (q_asym * hw + u) ** 2 / ((1 + q_asym**2) * (u**2 + hw**2))
+def lorentzian_model(omega, center, fwhm, amplitude, baseline):
+    return _lorentzian(omega, center, fwhm, amplitude, baseline)[0]
 
 
-def _fano_jac(omega, center, width, q_asym, amplitude, baseline):
+def _fano(omega, center, width, q_asym, amplitude, baseline):
+    """The Fano profile's values and a function building its Jacobian from them."""
     hw = 0.5 * width
     u = omega - center
     den = u**2 + hw**2
     top = q_asym * hw + u
-    norm = 1.0 + q_asym**2
-    jac = np.empty((omega.size, 5))
-    jac[:, 0] = -amplitude / norm * (2 * top * den - top**2 * 2 * u) / den**2
-    jac[:, 1] = 0.5 * amplitude / norm * (2 * top * q_asym * den - top**2 * 2 * hw) / den**2
-    # factored so no intermediate scales like q^2 or worse; large-q iterations stay finite
-    jac[:, 2] = amplitude / norm * (2 * top * hw - ((2 * q_asym / norm) * top) * top) / den
-    jac[:, 3] = top**2 / (norm * den)
-    jac[:, 4] = 1.0
-    return jac
+    top2 = top**2
+    norm = 1 + q_asym**2
+    norm_den = norm * den
+
+    def jacobian():
+        # the centre, width and q columns share top (hw - q u) / den^2; no
+        # intermediate scales worse than q^2, so large-q iterations stay finite
+        scale = amplitude / norm
+        common = top * (hw - q_asym * u) / den**2
+        jac = np.empty((5, omega.size))
+        jac[0] = (-2.0 * scale * hw) * common
+        jac[1] = -scale * u * common
+        jac[2] = (2.0 * scale / norm) * den * common
+        jac[3] = top2 / norm_den
+        jac[4] = 1.0
+        return jac.T
+
+    return baseline + amplitude * top2 / norm_den, jacobian
+
+
+def fano_model(omega, center, width, q_asym, amplitude, baseline):
+    """Fano profile normalized so the amplitude stays finite as q grows."""
+    return _fano(omega, center, width, q_asym, amplitude, baseline)[0]
 
 
 def _check_peak(spec):
@@ -169,13 +190,11 @@ def fit_lorentzian(spec):
     p0 = np.array(_peak_guess(spec))
     w, m = spec.omega, spec.magnitude
 
-    def resid(p):
-        return lorentzian_model(w, *p) - m
+    def evaluate(p):
+        value, jacobian = _lorentzian(w, *p)
+        return value - m, jacobian
 
-    def jac(p):
-        return _lorentzian_jac(w, *p)
-
-    p, rms, ok, it = _levmar(resid, jac, p0)
+    p, rms, ok, it = _levmar(evaluate, p0)
     params = {"center": p[0], "fwhm": abs(p[1]), "amplitude": p[2], "baseline": p[3]}
     return FitResult(params, rms, ok, it)
 
@@ -190,16 +209,14 @@ def fit_fano(spec):
     c0, w0, a0, b0 = _peak_guess(spec)
     w, m = spec.omega, spec.magnitude
 
-    def resid(p):
-        return fano_model(w, *p) - m
-
-    def jac(p):
-        return _fano_jac(w, *p)
+    def evaluate(p):
+        value, jacobian = _fano(w, *p)
+        return value - m, jacobian
 
     best = None
     for q0 in (2.0, -2.0):
         p0 = np.array([c0, w0, q0, a0, b0])
-        p, rms, ok, it = _levmar(resid, jac, p0)
+        p, rms, ok, it = _levmar(evaluate, p0)
         if best is None or rms < best[1] - 1e-15:
             best = (p, rms, ok, it)
     p, rms, ok, it = best
@@ -238,8 +255,8 @@ def _column_peaks(omega, mag):
     noise below the smaller one, so noise cannot split a single ridge in two.
     Sub-bin positions by parabolic interpolation around each maximum.
     """
-    med = np.median(mag, axis=1, keepdims=True)
-    noise = 1.4826 * np.median(np.abs(mag - med), axis=1)
+    med = _row_median(mag)[:, None]
+    noise = 1.4826 * _row_median(np.abs(mag - med))
     thresh = med[:, 0] + 3.0 * noise
     mid = mag[:, 1:-1]
     cols, idx = np.nonzero((mid > mag[:, :-2]) & (mid >= mag[:, 2:]) & (mid > thresh[:, None]))
@@ -265,6 +282,15 @@ def _column_peaks(omega, mag):
     shift = np.clip(shift, -0.5, 0.5)
     pos = iter((omega[idx] + shift * (omega[idx + 1] - omega[idx])).tolist())
     return [sorted([next(pos) for _ in picked]) for picked in chosen]
+
+
+def _row_median(x):
+    """np.median(x, axis=1), bit for bit, from one partition."""
+    k = x.shape[1] // 2
+    if x.shape[1] % 2:
+        return np.partition(x, k, axis=1)[:, k]
+    part = np.partition(x, (k - 1, k), axis=1)
+    return (part[:, k - 1] + part[:, k]) / 2
 
 
 def fit_avoided_crossing(smap):
@@ -313,26 +339,35 @@ def fit_avoided_crossing(smap):
             obs_w.append(pk)
     obs_b, obs_w = np.array(obs_b), np.array(obs_w)
 
-    def resid(p):
-        g, omega_r, b_star, slope = p
-        omega_s = omega_r + slope * (obs_b - b_star)
-        lo, hi = polariton_frequencies(omega_r, omega_s, abs(g))
-        return np.where(np.abs(obs_w - lo) <= np.abs(obs_w - hi), obs_w - lo, obs_w - hi)
-
-    def jac(p):
-        out = np.empty((obs_b.size, p.size))
-        for k in range(p.size):
-            h = max(1e-6 * abs(p[k]), 1e-7)
-            pp, pm = p.copy(), p.copy()
-            pp[k] += h
-            pm[k] -= h
-            out[:, k] = (resid(pp) - resid(pm)) / (2 * h)
-        return out
-
     p0 = np.array([g0, omega_r0, b_star0, slope0])
-    p, rms, ok, it = _levmar(resid, jac, p0)
+    p, rms, ok, it = _levmar(lambda p: _branch_residual(obs_b, obs_w, *p), p0)
     params = {"g_ens": abs(p[0]), "omega_r": p[1], "b_star": p[2], "slope": p[3]}
     return FitResult(params, rms, ok, it)
+
+
+def _branch_residual(obs_b, obs_w, g, omega_r, b_star, slope):
+    """Each observed peak minus its nearer coupled-mode branch, and a function
+    building the analytic Jacobian in (g, omega_r, b_star, slope).
+
+    With delta = slope (B - b_star) / 2 the branches are
+    omega_r + delta + sigma sqrt(g^2 + delta^2), sigma = -1 (lower) or +1.
+    """
+    offset = obs_b - b_star
+    lo, hi = polariton_frequencies(omega_r, omega_r + slope * offset, abs(g))
+    lower = np.abs(obs_w - lo) <= np.abs(obs_w - hi)
+
+    def jacobian():
+        delta = 0.5 * slope * offset
+        sigma_split = np.where(lower, -1.0, 1.0) / np.sqrt(g**2 + delta**2)
+        tilt = 1.0 + sigma_split * delta  # minus d(residual) / d(delta)
+        jac = np.empty((4, obs_b.size))
+        jac[0] = -g * sigma_split
+        jac[1] = -1.0
+        jac[2] = 0.5 * slope * tilt
+        jac[3] = -0.5 * offset * tilt
+        return jac.T
+
+    return np.where(lower, obs_w - lo, obs_w - hi), jacobian
 
 
 def _strongest(omega, mag, peaks):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from spincavity import cavity_qed as cq
@@ -400,3 +400,202 @@ def test_avoided_crossing_rejects_crossing_outside_window():
     smap = cq.SpectrumMap(b_grid, omega_grid, np.array(rows).astype(complex))
     with pytest.raises(ft.FitError):
         ft.fit_avoided_crossing(smap)
+
+
+# ---------------------------------------------------------------- LM engine
+
+
+def central_differences(values, p, rel_step):
+    """d values / d p by central differences, one column per parameter."""
+    columns = []
+    for k in range(len(p)):
+        h = rel_step * max(abs(p[k]), 1.0)
+        up, down = list(p), list(p)
+        up[k] += h
+        down[k] -= h
+        columns.append((values(up) - values(down)) / (2 * h))
+    return np.column_stack(columns)
+
+
+def assert_jacobian_matches(jacobian, values, p, rel_step, tol):
+    """Each column of the analytic Jacobian within tol of central differences,
+    relative to the column's largest entry."""
+    jac = jacobian()
+    diff = np.abs(jac - central_differences(values, p, rel_step)).max(axis=0)
+    assert (diff <= tol * np.abs(jac).max(axis=0)).all(), diff / np.abs(jac).max(axis=0)
+
+
+JACOBIAN_CHECK = settings(max_examples=150, deadline=None, database=None)
+TRACE_GRID = np.linspace(5340.0, 5440.0, 401)
+
+
+@seed(20180402)
+@JACOBIAN_CHECK
+@given(
+    center=st.floats(5370.0, 5410.0),
+    fwhm=st.floats(1.0, 30.0),
+    amplitude=st.floats(0.01, 2.0),
+    baseline=st.floats(0.0, 0.1),
+)
+def test_lorentzian_jacobian_matches_central_differences(center, fwhm, amplitude, baseline):
+    p = (center, fwhm, amplitude, baseline)
+    value, jacobian = ft._lorentzian(TRACE_GRID, *p)
+    assert np.array_equal(value, ft.lorentzian_model(TRACE_GRID, *p))
+    assert_jacobian_matches(jacobian, lambda q: ft._lorentzian(TRACE_GRID, *q)[0], p, 1e-7, 1e-5)
+
+
+@seed(20180402)
+@JACOBIAN_CHECK
+@given(
+    center=st.floats(5370.0, 5410.0),
+    width=st.floats(1.0, 30.0),
+    q_asym=st.floats(-1000.0, 1000.0),
+    amplitude=st.floats(0.01, 2.0),
+    baseline=st.floats(0.0, 0.1),
+)
+@example(center=5390.0, width=4.9, q_asym=0.0, amplitude=0.6, baseline=0.02)
+def test_fano_jacobian_matches_central_differences(center, width, q_asym, amplitude, baseline):
+    p = (center, width, q_asym, amplitude, baseline)
+    value, jacobian = ft._fano(TRACE_GRID, *p)
+    assert np.array_equal(value, ft.fano_model(TRACE_GRID, *p))
+    assert_jacobian_matches(jacobian, lambda q: ft._fano(TRACE_GRID, *q)[0], p, 1e-7, 1e-5)
+
+
+@seed(20180402)
+@JACOBIAN_CHECK
+@given(
+    g=st.floats(2.0, 20.0),
+    omega_r=st.floats(5300.0, 5500.0),
+    b_star=st.floats(20.0, 200.0),
+    slope=st.floats(5.0, 200.0),
+    falling=st.booleans(),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_branch_residual_jacobian_matches_central_differences(
+    g, omega_r, b_star, slope, falling, rng_seed
+):
+    # each point lies within 0.4 splittings of its branch, so no step of the
+    # differences moves it across the midpoint where the nearer branch switches
+    rng = np.random.default_rng(rng_seed)
+    slope = -slope if falling else slope
+    obs_b = b_star + rng.uniform(-3.0, 3.0, 40)
+    lo, hi = cq.polariton_frequencies(omega_r, omega_r + slope * (obs_b - b_star), g)
+    branch = np.where(rng.random(40) < 0.5, lo, hi)
+    obs_w = branch + rng.uniform(-0.4, 0.4, 40) * (hi - lo)
+    p = (g, omega_r, b_star, slope)
+    _, jacobian = ft._branch_residual(obs_b, obs_w, *p)
+    values = lambda q: ft._branch_residual(obs_b, obs_w, *q)[0]  # noqa: E731
+    assert_jacobian_matches(jacobian, values, p, 1e-6, 1e-4)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def reference_levmar(residual, jacobian, p0):
+    """The LM engine with the residual and the Jacobian as separate calls of
+    the parameters, each made afresh: the oracle of `_levmar`'s schedule."""
+    p = np.asarray(p0, dtype=float).copy()
+    r = residual(p)
+    cost = float(r @ r)
+    lam = 1e-3
+    converged = False
+    it = 0
+    while it < ft.MAX_ITER:
+        it += 1
+        jac = jacobian(p)
+        a = jac.T @ jac
+        g = jac.T @ r
+        diag = np.diag(a).copy()
+        diag[diag <= 0] = 1.0
+        stepped = False
+        while lam < 1e14:
+            try:
+                delta = np.linalg.solve(a + lam * np.diag(diag), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            r_new = residual(p + delta)
+            cost_new = float(r_new @ r_new)
+            if cost_new <= cost:
+                p = p + delta
+                r, cost = r_new, cost_new
+                lam = max(lam / 3.0, 1e-12)
+                stepped = True
+                rel = np.max(np.abs(delta) / np.maximum(np.abs(p), 1e-8))
+                if rel < ft.REL_STEP_TOL:
+                    converged = True
+                break
+            lam *= 10.0
+        if converged or not stepped:
+            converged = converged or not stepped
+            break
+    rms = float(np.sqrt(cost / r.size))
+    return p, rms, converged, it
+
+
+def rosenbrock(p):
+    return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+
+
+def rosenbrock_jacobian(p):
+    return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+
+
+def test_levmar_evaluates_each_trial_once_and_builds_jacobians_only_where_it_steps_from():
+    evaluated, built = [], []
+
+    def evaluate(p):
+        evaluated.append(p.copy())
+
+        def jacobian():
+            built.append(p.copy())
+            return rosenbrock_jacobian(p)
+
+        return rosenbrock(p), jacobian
+
+    residual_at, jacobian_at = [], []
+
+    def residual(p):
+        residual_at.append(p.copy())
+        return rosenbrock(p)
+
+    def jacobian(p):
+        jacobian_at.append(p.copy())
+        return rosenbrock_jacobian(p)
+
+    p, rms, converged, it = ft._levmar(evaluate, [-1.2, 1.0])
+    ref_p, ref_rms, ref_converged, ref_it = reference_levmar(residual, jacobian, [-1.2, 1.0])
+    assert converged and np.allclose(p, 1.0)
+    assert np.array_equal(p, ref_p) and (rms, converged, it) == (ref_rms, ref_converged, ref_it)
+    # one evaluation per trial point, the start included, at the reference's points
+    assert np.array_equal(evaluated, residual_at)
+    # one Jacobian per iteration, built at the start or at an accepted point
+    assert len(built) == it and np.array_equal(built, jacobian_at)
+    assert len(evaluated) > len(built) + 5  # rejected trials paid for no Jacobian
+
+
+def _noisy_nv_map():
+    smap = ex.nv_anticrossing_map()
+    return ex.add_magnitude_noise(smap, 0.003 * np.abs(smap.values).max(), 7)
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda: ft.fit_lorentzian(ft.Spectrum1D(*ex.lorentzian_q_trace(5390.0, 1300.0, 3500.0))),
+        lambda: ft.fit_fano(ft.Spectrum1D(*clean_lorentzian())),
+        lambda: ft.fit_avoided_crossing(_noisy_nv_map()),
+    ],
+    ids=["lorentzian", "fano", "avoided_crossing"],
+)
+def test_fits_match_the_reference_engine(monkeypatch, fit):
+    result = fit()
+
+    def separate_calls(evaluate, p0):
+        return reference_levmar(lambda p: evaluate(p)[0], lambda p: evaluate(p)[1](), p0)
+
+    monkeypatch.setattr(ft, "_levmar", separate_calls)
+    assert fit() == result
+
+
+def test_levmar_rejects_a_start_where_the_model_is_not_finite():
+    with pytest.raises(ft.FitError, match="not finite at the start"):
+        ft._levmar(lambda p: (np.array([np.nan, 1.0]), None), [1.0, 2.0])

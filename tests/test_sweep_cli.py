@@ -998,6 +998,29 @@ def test_fit_without_repulsion_exits_3(tmp_path, capsys):
     assert "fit error" in capsys.readouterr().err
 
 
+def _trace_peaked_on_repeated_frequencies(all_repeated):
+    """A 50-row trace whose peak row shares its frequency with its neighbours
+    (or with every row), so the starting half-maximum width is zero."""
+    freqs = np.full(50, 5390.0) if all_repeated else np.linspace(5380.0, 5400.0, 50)
+    freqs[20:30] = 5390.0
+    mag = np.full(50, 0.01)
+    mag[25] = 0.5
+    return "f_MHz,S21_mag\n" + "".join(f"{f:.10g},{m:.10g}\n" for f, m in zip(freqs, mag))
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "fano"])
+@pytest.mark.parametrize("all_repeated", [True, False], ids=["all_rows", "rows_20_to_29"])
+def test_fit_with_a_model_not_finite_at_the_start_exits_3(tmp_path, capsys, kind, all_repeated):
+    # used to report converged = true with a nan rms (fano), or to end in a
+    # traceback from extract_qs (lorentzian)
+    cfgp = write(tmp_path, "cfg.ini", NV_MAP)
+    trace = write(tmp_path, "trace.csv", _trace_peaked_on_repeated_frequencies(all_repeated))
+    assert cli.main(["fit", "--config", cfgp, "--kind", kind, "--in", trace]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fit error: model is not finite at the start values\n"
+
+
 # ---------------------------------------------------------------- circuit
 
 
