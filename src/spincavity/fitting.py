@@ -157,17 +157,26 @@ def fano_model(omega, center, width, q_asym, amplitude, baseline):
     return _fano(omega, center, width, q_asym, amplitude, baseline)[0]
 
 
+def _median(x):
+    """np.median(x, axis=-1), bit for bit, from one partition."""
+    k = x.shape[-1] // 2
+    if x.shape[-1] % 2:
+        return np.partition(x, k, axis=-1)[..., k]
+    part = np.partition(x, (k - 1, k), axis=-1)
+    return (part[..., k - 1] + part[..., k]) / 2
+
+
 def _check_peak(spec):
     if spec.omega.size < 8:
         raise FitError("need at least 8 points to fit a resonance")
-    if spec.magnitude.max() <= 2.0 * np.median(spec.magnitude):
+    if spec.magnitude.max() <= 2.0 * _median(spec.magnitude):
         raise FitError("no discernible peak (max not above 2x median)")
 
 
 def _peak_guess(spec):
     m, w = spec.magnitude, spec.omega
     i0 = int(np.argmax(m))
-    base = float(np.median(m))
+    base = float(_median(m))
     amp = float(m[i0] - base)
     half = base + 0.5 * amp
     # contiguous run at or above half maximum containing the peak: it ends
@@ -255,8 +264,8 @@ def _column_peaks(omega, mag):
     noise below the smaller one, so noise cannot split a single ridge in two.
     Sub-bin positions by parabolic interpolation around each maximum.
     """
-    med = _row_median(mag)[:, None]
-    noise = 1.4826 * _row_median(np.abs(mag - med))
+    med = _median(mag)[:, None]
+    noise = 1.4826 * _median(np.abs(mag - med))
     thresh = med[:, 0] + 3.0 * noise
     mid = mag[:, 1:-1]
     cols, idx = np.nonzero((mid > mag[:, :-2]) & (mid >= mag[:, 2:]) & (mid > thresh[:, None]))
@@ -282,15 +291,6 @@ def _column_peaks(omega, mag):
     shift = np.clip(shift, -0.5, 0.5)
     pos = iter((omega[idx] + shift * (omega[idx + 1] - omega[idx])).tolist())
     return [sorted([next(pos) for _ in picked]) for picked in chosen]
-
-
-def _row_median(x):
-    """np.median(x, axis=1), bit for bit, from one partition."""
-    k = x.shape[1] // 2
-    if x.shape[1] % 2:
-        return np.partition(x, k, axis=1)[:, k]
-    part = np.partition(x, (k - 1, k), axis=1)
-    return (part[:, k - 1] + part[:, k]) / 2
 
 
 def fit_avoided_crossing(smap):
