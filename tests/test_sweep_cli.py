@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from spincavity import experiments as ex
@@ -786,6 +786,39 @@ def test_csv_columns_broadcast_in_blocks(tmp_path, monkeypatch, block):
     cli._write_csv(str(path), "a,b,c,d", columns)
     expected = _csv_text_per_row("a,b,c,d", [c.ravel() for c in np.broadcast_arrays(*columns)])
     assert path.read_bytes() == expected.encode()
+
+
+_SIGNED_FORMAT_VALUES = st.tuples(_FORMAT_VALUES, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@st.composite
+def _hard_columns(draw):
+    """Columns shaped (n, 1), (m,), (1, m) and (n, m) of the formatter's hard values."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def column(size):
+        return np.array(draw(st.lists(_SIGNED_FORMAT_VALUES, min_size=size, max_size=size)))
+
+    return column(n)[:, None], column(m), column(m)[None, :], column(n * m).reshape(n, m)
+
+
+@given(_hard_columns())
+@example((np.array([[-0.0], [np.inf], [9999999999.5]]), np.array([np.nan, 5e-324, 1e-5]),
+          np.array([[0.12345678905, -1e10, 1e-289]]),
+          np.array([[1e22, -2.2250738585072014e-308, 0.0], [1e-300, -np.inf, 123.0],
+                    [-np.nan, 1.7976931348623157e308, 0.000099999999995]])))
+@seed(20181017)
+@settings(max_examples=50, deadline=None, database=None)
+def test_csv_columns_of_hard_values_in_blocks(tmp_path_factory, columns):
+    # near-ties, inf, nan, subnormals, exponent rows and -0.0 in broadcast
+    # columns, written in blocks of 1, 7 and 500 lines
+    path = tmp_path_factory.getbasetemp() / "hard_values.csv"
+    rows = [c.ravel() for c in np.broadcast_arrays(*columns)]
+    expected = _csv_text_per_row("a,b,c,d", rows).encode()
+    for block in (1, 7, 500):
+        with mock.patch.object(cli, "_BLOCK", block):
+            cli._write_csv(str(path), "a,b,c,d", columns)
+        assert path.read_bytes() == expected, f"block {block}"
 
 
 @pytest.mark.parametrize("block", [1, 7, 500, None])
