@@ -296,77 +296,101 @@ def _write(out_path, chunks):
 
 # 10**k, correctly rounded and exact for k <= 22
 _POW10 = np.array([float(10**k) for k in range(300)])
-# the sign, first digit, '.' and other digits of a row laid out for exponent 0
+# the sign, first digit, '.' and other digits of a text laid out for exponent 0
 _MANTISSA_COLS = [0, 6, 7, *range(8, 25, 2)]
 # lines per block of _write_csv and characters per block of _lines: few enough
 # that the work arrays of a block stay in cache
 _BLOCK = 1 << 14
 
 
-def _format_g10(x):
-    """'%.10g' % v of every v in x, as x.shape + (width,) bytes padded with 0.
+def _format_g10(*xs):
+    """'%.10g' % v of every v of each x in xs, as one (width,) + x.shape uint8
+    array of character planes per x, padded with 0.
 
-    A row's bytes without the 0s are the text.  Zeros and every finite v
-    with |v| >= 1e-289 take their 10-digit mantissa m from one scaling
-    q = |v| * 10**(9 - e) (a division for e > 9), which lies within 3e-6 of
-    the exact product, so rint(q) is correctly rounded unless q is within
-    1e-5 of a half-integer.  Those near-ties, non-finite values and nonzero
-    |v| < 1e-289 go through '%', in one list.  A row holds a sign, a '0.000'
-    prefix for exponents -1 to -4, and the 10 digits with a '.' slot after
-    each of the first 9.  Exponents outside -4 to 9 write the digits as
-    exponent 0 does, then move them to the front of the row, followed by
-    'e+ddd'.  Columns no value uses are dropped.
+    Plane i holds character i of every value's text, so that each character
+    column is written as one contiguous row; the bytes of a value down the
+    planes, without the 0s, are its text.  All of xs are formatted in one
+    array pass, and each keeps only the planes its own values use.  Zeros and
+    every finite v with |v| >= 1e-289 take their 10-digit mantissa m from one
+    scaling q = |v| * 10**(9 - e) (a division for e > 9), which lies within
+    3e-6 of the exact product, so rint(q) is correctly rounded unless q is
+    within 1e-5 of a half-integer.  Those near-ties, non-finite values and
+    nonzero |v| < 1e-289 go through '%', in one list.  A text holds a sign,
+    a '0.000' prefix for exponents -1 to -4, and the 10 digits with a '.'
+    slot after each of the first 9.  Exponents outside -4 to 9 write the
+    digits as exponent 0 does, then move them to the front, followed by
+    'e+ddd'.
     """
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.zeros((flat.size, 25), np.uint8)
-    ax = np.abs(flat)
-    zero = ax == 0.0
-    fast = zero | ((ax >= 1e-289) & (ax < np.inf))
-    a = np.where(fast & ~zero, ax, 1.0)
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    flat = np.concatenate([x.ravel() for x in xs])
+    out = np.zeros((25, flat.size), np.uint8)
+    # the work arrays are updated in place where they can be: a fresh array of
+    # a block's size costs its page faults
+    a = np.abs(flat)
+    zero = a == 0.0
+    fast = zero | ((a >= 1e-289) & (a < np.inf))
+    np.copyto(a, 1.0, where=zero | ~fast)
     # floor(log10) is one off only within a few ulp of a power of ten, where the
     # mantissa rounds to 1e9 with the larger exponent or carries from 1e10 to it
-    e = np.floor(np.log10(a)).astype(np.int64)
-    q = np.where(e <= 9, a * _POW10[np.maximum(9 - e, 0)], a / _POW10[np.maximum(e - 9, 0)])
+    e = np.log10(a)
+    e = np.floor(e, out=e).astype(np.int32)
+    scale = _POW10[np.abs(9 - e)]
+    q, big = np.empty_like(a), e > 9
+    np.multiply(a, scale, out=q, where=~big)
+    np.divide(a, scale, out=q, where=big)
     m = np.rint(q)
-    fast &= np.abs(np.abs(q - m) - 0.5) > 1e-5
+    q -= m
+    np.abs(q, out=q)
+    q -= 0.5
+    np.abs(q, out=q)
+    fast &= q > 1e-5
     carry = m == 1e10
-    m[carry] = 1e9
+    np.copyto(m, 1e9, where=carry)
     e += carry
-    m[zero] = 0.0
-    e[zero] = 0
+    np.copyto(m, 0.0, where=zero)
     expo = (e < -4) | (e > 9)
-    place = np.where(expo, 0, e)
-    out[:, 0] = np.signbit(flat) * np.uint8(ord("-"))
+    place = np.where(expo, 0, e).astype(np.int8)
+    out[0] = np.signbit(flat) * np.uint8(ord("-"))
     # exponents -1 to -4 put '0.' and then 0 to 3 zeros before the digits
     for col, (below, char) in enumerate(zip((0, 0, -1, -2, -3), b"0.000"), start=1):
-        out[:, col] = (place < below) * np.uint8(char)
-    # digits from the last; a fraction digit is kept up to the last nonzero one
-    v = m.astype(np.int64)
+        out[col] = (place < below) * np.uint8(char)
+    # digits from the last, in int32 halves of m < 1e10 (m / 1e5 is exact to
+    # far below 1e-5, so its floor is); a fraction digit is kept up to the last
+    # nonzero one
+    hi = np.floor(np.divide(m, 1e5, out=q), out=q)
+    v = np.subtract(m, 1e5 * hi, out=m).astype(np.int32)
+    hi = hi.astype(np.int32)
     nonzero = np.zeros(flat.size, bool)
     for j in range(9, -1, -1):
         if j < 9:
-            out[:, 7 + 2 * j] = ((place == j) & nonzero) * np.uint8(ord("."))
+            out[7 + 2 * j] = ((place == j) & nonzero) * np.uint8(ord("."))
+        if j == 4:
+            v = hi
         q10 = v // 10
-        digit = (v - 10 * q10).astype(np.uint8)
+        row = out[6 + 2 * j]
+        np.subtract(v, 10 * q10, out=row, casting="unsafe")
         v = q10
-        nonzero |= digit != 0
-        out[:, 6 + 2 * j] = (nonzero | (place >= j)) * (digit + np.uint8(ord("0")))
+        nonzero |= row != 0
+        row += np.uint8(ord("0"))
+        row *= nonzero | (place >= j)
     rows = np.flatnonzero(expo)
     if rows.size:
         # 'e', the exponent's sign and its digits, the hundreds only when nonzero
         k = np.abs(e[rows])
         suffix = [np.full(k.shape, ord("e")), np.where(e[rows] < 0, ord("-"), ord("+")),
                   (k >= 100) * (k // 100 + ord("0")), k // 10 % 10 + ord("0"), k % 10 + ord("0")]
-        text = np.column_stack([out[rows][:, _MANTISSA_COLS], *suffix])
-        out[rows] = 0
-        out[rows, : text.shape[1]] = text
+        text = np.vstack([out[_MANTISSA_COLS][:, rows], *suffix])
+        out[:, rows] = 0
+        out[: len(text), rows] = text
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = np.array(["%.10g" % v for v in flat[slow].tolist()], dtype="S25")
-        out[slow] = texts.view(np.uint8).reshape(-1, 25)
-    used = out.any(axis=0)
-    return out[:, used].reshape(x.shape + (int(used.sum()),))
+        out[:, slow] = texts.view(np.uint8).reshape(-1, 25).T
+    cells = []
+    for x, planes in zip(xs, np.split(out, np.cumsum([x.size for x in xs[:-1]]), axis=1)):
+        used = planes.any(axis=1)
+        cells.append(planes[used].reshape((int(used.sum()),) + x.shape))
+    return cells
 
 
 def _write_csv(out_path, header, columns):
@@ -390,21 +414,21 @@ def _write_csv(out_path, header, columns):
 def _csv_lines(columns):
     """The text of the lines of a block of `_write_csv`'s columns.
 
-    The columns of one shape are formatted together in one array pass before
-    they are broadcast, so a grid axis shaped (n, 1) or (n,) is formatted once
-    per value, not once per line.
+    Every column is formatted before it is broadcast, so a grid axis shaped
+    (n, 1) or (n,) is formatted once per value, not once per line.  The block
+    is assembled as character planes, one per character column of its lines,
+    and transposed once into lines.
     """
-    cells = [None] * len(columns)
-    for shape in dict.fromkeys(c.shape for c in columns):
-        ks = [k for k, c in enumerate(columns) if c.shape == shape]
-        for k, cell in zip(ks, _format_g10(np.stack([columns[k] for k in ks]))):
-            cells[k] = cell
-    ends = np.cumsum([c.shape[-1] + 1 for c in cells])
-    lines = np.zeros(np.broadcast_shapes(*(c.shape[:-1] for c in cells)) + (ends[-1],), np.uint8)
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    cells = _format_g10(*columns)
+    ends = np.cumsum([len(cell) + 1 for cell in cells])
+    planes = np.empty((ends[-1],) + shape, np.uint8)
     for cell, end in zip(cells, ends):
-        lines[..., end - 1 - cell.shape[-1] : end - 1] = cell
-    lines[..., ends - 1] = ord(",")
-    lines[..., -1] = ord("\n")
+        planes[end - 1 - len(cell) : end - 1] = cell.reshape(
+            cell.shape[:1] + (1,) * (len(shape) + 1 - cell.ndim) + cell.shape[1:])
+    planes[ends - 1] = ord(",")
+    planes[-1] = ord("\n")
+    lines = planes.reshape(len(planes), -1).T
     return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 

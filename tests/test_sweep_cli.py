@@ -469,9 +469,9 @@ def test_csv_number_format_matches_the_format_spec(x):
 
 
 def _g10_texts(values):
-    """The whole-array formatter's text of each value."""
-    cells = cli._format_g10(np.array(values, dtype=float))
-    return [row.tobytes().replace(b"\0", b"").decode() for row in cells]
+    """The whole-array formatter's text of each value, read down its planes."""
+    (planes,) = cli._format_g10(np.array(values, dtype=float))
+    return [text.tobytes().replace(b"\0", b"").decode() for text in planes.T]
 
 
 def _decimal(d, p, step):
@@ -524,10 +524,12 @@ def test_format_g10_on_bulk_near_ties_and_grids():
 
 
 def test_format_g10_shapes():
-    # the axes of the map are formatted once and broadcast: shape + (width,)
-    assert cli._format_g10(np.zeros((3, 1))).shape == (3, 1, 1)
-    assert cli._format_g10(np.array([])).shape == (0, 0)
-    assert cli._format_g10([[1.5, -2.0]]).shape[:2] == (1, 2)
+    # the axes of the map are formatted once and broadcast: (width,) + shape,
+    # each array with the planes its own values use
+    assert [p.shape for p in cli._format_g10(np.zeros((3, 1)))] == [(1, 3, 1)]
+    assert [p.shape for p in cli._format_g10(np.array([]))] == [(0, 0)]
+    assert cli._format_g10([[1.5, -2.0]])[0].shape[1:] == (1, 2)
+    assert [p.shape for p in cli._format_g10(np.zeros(2), [-1.5], [])] == [(1, 2), (4, 1), (0, 0)]
 
 
 def test_fit_malformed_csv_exits_4(tmp_path, capsys):
