@@ -7,6 +7,7 @@ is a finding to look at, not a reason to skip.
 """
 
 import gzip
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -63,9 +64,11 @@ def test_cli_output_matches_the_golden_files(results, name):
     assert (code, stdout, stderr) == (case["exit"], case["stdout"], case["stderr"]), where
     if "map" in case:
         want = case["map"]
-        if golden.hashlib.sha256(data).hexdigest() != want["sha256"]:
+        if hashlib.sha256(data).hexdigest() != want["sha256"]:
             pytest.fail(f"{where}\n{_map_difference(want, data)}")
-    else:
+    elif "file" in case:
         text = gzip.decompress((golden.GOLDEN / case["file"]).read_bytes()).decode()
         if data.decode() != text:
             pytest.fail(f"{where}\n{_first_difference(text, data.decode())}")
+    else:
+        assert data is None, f"{where}: no output file expected"

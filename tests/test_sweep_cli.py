@@ -790,7 +790,8 @@ def test_csv_columns_broadcast_in_blocks(tmp_path, monkeypatch, block):
     assert path.read_bytes() == expected.encode()
 
 
-_SIGNED_FORMAT_VALUES = st.tuples(_FORMAT_VALUES, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+_SIGNED_FORMAT_VALUES = st.tuples(_FORMAT_VALUES, st.booleans()).map(
+    lambda t: -t[0] if t[1] else t[0])
 
 
 @st.composite
