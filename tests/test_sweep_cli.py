@@ -263,6 +263,26 @@ def test_dump_fills_in_the_optional_circuit_keys():
     )
 
 
+_DEFAULT_TAIL = (
+    "linewidth_mhz = 5.0\norientation_fraction = 0.5\nnuclear_fraction = {nuclear}\n"
+    "filling_factor = 1.0\ntransition_weight = 0.5\ninitial_levels = 0\n\n"
+    "[resonator]\nq_int = 1300.0\nq_ext1 = 7000.0\nq_ext2 = 7000.0\nmode_volume_mm3 = 11.45\n\n"
+    "[sweep]\nb_min_mt = 60.0\nb_max_mt = 90.0\nb_points = 61\n"
+    "omega_min_mhz = 5340.0\nomega_max_mhz = 5440.0\nomega_points = 401\nseed = 0\n"
+)
+
+
+@pytest.mark.parametrize("defect, nuclear", [("NV", "1.0"), ("P1", "0.3333333333333333")])
+def test_dump_of_the_required_keys_shows_every_default(defect, nuclear):
+    # every shipped config sets most optional keys, so the golden files cannot
+    # see these defaults; the circuit defaults are pinned in the test above
+    text = f"[sample]\ndefect = {defect}\ndensity_ppm = 10\n\n[resonator]\n"
+    assert cli.dump_config(cli.parse_config(text)) == (
+        f"[sample]\ndefect = {defect}\ndensity_ppm = 10.0\nvolume_mm3 = 4.95\n"
+        "field_direction = 1 1 0\n" + _DEFAULT_TAIL.format(nuclear=nuclear)
+    )
+
+
 def test_defect_axis_picks_closest_bond():
     axis = cli._defect_axis(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     assert np.allclose(axis, np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
