@@ -108,8 +108,13 @@ def format_table(rows):
 
 
 def _commit(checkout):
-    return subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
-                          capture_output=True, text=True, check=True).stdout.strip()
+    """HEAD of the git work tree `checkout`; exits with the reason when it has none."""
+    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_pairs.py: {checkout} is not a git work tree with a commit "
+                 "(git rev-parse HEAD failed); run the pairs on git clones")
+    return proc.stdout.strip()
 
 
 def _version(package):
@@ -131,6 +136,8 @@ def main():
     ap.add_argument("--out-dir", default=".", help="directory of BENCH_<n>.json")
     args = ap.parse_args()
 
+    # read before the first run: a failure here would otherwise lose every result
+    commits = {side: _commit(getattr(args, side)) for side in ("parent", "change")}
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     checkouts = {"parent": args.parent, "change": args.change}
@@ -141,8 +148,8 @@ def main():
     record = {
         "what": args.what,
         "command": COMMAND,
-        "parent_commit": _commit(args.parent),
-        "change_commit": _commit(args.change),
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": _version("numpy"), "scipy": _version("scipy")},
         "runs": runs,

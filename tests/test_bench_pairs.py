@@ -1,6 +1,8 @@
-"""The summary of scripts/bench_pairs.py on a synthetic runs list (no subprocess)."""
+"""scripts/bench_pairs.py: its summary of a synthetic runs list, and its check of the checkouts."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,21 @@ def test_table_and_failed_share():
                         "| 0.981 | 5/5 |")
     assert bench_pairs.failed_shares(RUNS) == {("cli_files", "parent"): (10, 75),
                                                ("cli_files", "change"): (10, 75)}
+
+
+def test_a_checkout_outside_git_fails_before_the_first_run(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # git looks no higher
+    checkout = tmp_path / "archive"
+    checkout.mkdir()
+    spec = {"workloads": [{"name": "fits"}], "run_seconds": 1, "end_to_end": []}
+    (checkout / "BENCHMARK.json").write_text(json.dumps(spec))
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: runs.append(args))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(checkout), str(checkout), "--number",
+                                      "0", "--first-seed", "1", "--traced-seed", "2",
+                                      "--out-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert runs == []
+    assert exc.value.code.startswith(f"bench_pairs.py: {checkout} is not a git work tree")
+    assert list(tmp_path.iterdir()) == [checkout]
