@@ -10,31 +10,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-PLANCK_H = 6.62607015e-34  # J s, exact in the 2019 SI
-MU_0 = 1.25663706127e-06  # vacuum permeability, N/A^2 (CODATA 2022)
-
-# conventional diamond cell: 8 carbon atoms, edge 0.3567 nm
-LATTICE_A_MM = 0.3567e-6
-CARBON_SITES_PER_MM3 = 8.0 / LATTICE_A_MM**3
-
-
-@dataclass(frozen=True)
-class ResonatorMode:
-    """Cavity frequency and decay rates, all in MHz (FWHM convention)."""
-
-    omega_r: float
-    kappa_int: float
-    kappa_ext1: float
-    kappa_ext2: float
-
-    def __post_init__(self):
-        rates = (self.kappa_int, self.kappa_ext1, self.kappa_ext2)
-        if any(r < 0 for r in rates) or sum(rates) <= 0:
-            raise ValueError("decay rates must be non-negative with positive total")
-
-    @property
-    def kappa(self):
-        return self.kappa_int + self.kappa_ext1 + self.kappa_ext2
+# the budget's scalar pieces, defined in the numpy-free scalars
+from .scalars import (CARBON_SITES_PER_MM3, LATTICE_A_MM, MU_0, PLANCK_H, EnsembleSpec,
+                      ResonatorMode, effective_spin_count, ensemble_coupling,
+                      single_spin_coupling, vacuum_brms)
 
 
 @dataclass(frozen=True)
@@ -53,25 +32,6 @@ class SpinLine:
             raise ValueError("linewidth must be positive")
         if self.g_ens < 0:
             raise ValueError("coupling must be non-negative")
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Inputs of the spin-count budget for one defect species in one sample."""
-
-    density_ppm: float
-    volume: float  # mm^3
-    orientation_fraction: float = 1.0
-    nuclear_fraction: float = 1.0
-    filling_factor: float = 1.0
-
-    def __post_init__(self):
-        if self.density_ppm < 0 or self.volume < 0:
-            raise ValueError("density and volume must be non-negative")
-        for name in ("orientation_fraction", "nuclear_fraction", "filling_factor"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,57 +55,6 @@ class SpectrumMap:
         object.__setattr__(self, "b_axis", b)
         object.__setattr__(self, "omega_axis", w)
         object.__setattr__(self, "values", v)
-
-
-def vacuum_brms(omega_r, mode_volume):
-    """RMS vacuum magnetic field of the mode, in pT.
-
-    B_rms = sqrt(mu0 h f / (2 V)): half of the zero-point energy h f / 2
-    stored magnetically in an effective volume V.
-    """
-    if omega_r <= 0 or mode_volume <= 0:
-        raise ValueError("frequency and mode volume must be positive")
-    f_hz = omega_r * 1e6
-    v_m3 = mode_volume * 1e-9
-    return np.sqrt(MU_0 * PLANCK_H * f_hz / (2.0 * v_m3)) * 1e12
-
-
-def single_spin_coupling(b_rms, gamma_e, transition_weight):
-    """Coupling of one spin to the vacuum field, in Hz.
-
-    g = gamma_e * B_rms * sqrt(w) with w the squared drive matrix element of
-    the transition (from transition_spectrum).
-    """
-    if transition_weight < 0:
-        raise ValueError("transition weight must be non-negative")
-    # MHz/mT * pT: 1e6 Hz / 1e9 pT leaves a factor 1e-3
-    return gamma_e * b_rms * 1e-3 * np.sqrt(transition_weight)
-
-
-def effective_spin_count(spec):
-    """Number of spins participating in one transition of one sub-ensemble.
-
-    Carbon site density times ppm concentration, cut down by the fraction of
-    bond orientations and nuclear projections that contribute.  The mode
-    filling factor is deliberately not applied here; it belongs to the
-    coupling (g -> g sqrt(filling)) where the budget assembles it.
-    """
-    n = (
-        CARBON_SITES_PER_MM3
-        * spec.volume
-        * spec.density_ppm
-        * 1e-6
-        * spec.orientation_fraction
-        * spec.nuclear_fraction
-    )
-    return n
-
-
-def ensemble_coupling(g_single, n):
-    """Collective coupling g * sqrt(n), converted from Hz to MHz."""
-    if n < 0:
-        raise ValueError("spin count must be non-negative")
-    return g_single * np.sqrt(n) * 1e-6
 
 
 def polariton_frequencies(omega_r, omega_s, g_ens):

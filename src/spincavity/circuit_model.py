@@ -8,26 +8,9 @@ the lineshape from Lorentzian to Fano.
 Element units: nH, pF, fF, Ohm.  Frequencies in MHz.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class CircuitElements:
-    l: float            # nH
-    c: float            # pF
-    r_loss: float       # Ohm, parallel
-    cc1: float = 10.0   # fF
-    cc2: float = 10.0   # fF
-    cx: float = 0.0     # fF
-    z0: float = 50.0    # Ohm
-
-    def __post_init__(self):
-        if self.l <= 0 or self.c <= 0 or self.z0 <= 0 or self.r_loss <= 0:
-            raise ValueError("l, c, r_loss, z0 must be positive")
-        if self.cc1 < 0 or self.cc2 < 0 or self.cx < 0:
-            raise ValueError("coupling and crosstalk capacitances must be non-negative")
+from .scalars import CircuitElements, q_decomposition  # defined in the numpy-free scalars
 
 
 def loop_gap_smatrix(omega_grid, elems):
@@ -70,25 +53,3 @@ def loop_gap_smatrix(omega_grid, elems):
 def loop_gap_s21(omega_grid, elems):
     """Complex S21 of the resonator network over a frequency grid (MHz)."""
     return loop_gap_smatrix(omega_grid, elems)[2]
-
-
-def q_decomposition(elems):
-    """Resonance frequency and quality factors of the cx = 0 network.
-
-    Weak-coupling closed forms: seen from the tank, each port capacitor is
-    nearly grounded through the small z0, so it adds to the tank capacitance,
-    C_eff = C + cc1 + cc2, and leaks power at a rate set by z0 cc^2.
-
-    :returns: (omega_0 MHz, q_int, q_ext1, q_ext2)
-    """
-    if elems.cx != 0:
-        raise ValueError("q_decomposition is defined for zero crosstalk only")
-    l = elems.l * 1e-9
-    c_eff = (elems.c + 1e-3 * (elems.cc1 + elems.cc2)) * 1e-12
-    w0 = 1.0 / np.sqrt(l * c_eff)
-    q_int = elems.r_loss * np.sqrt(c_eff / l)
-    q_ext = []
-    for cc_ff in (elems.cc1, elems.cc2):
-        cc = cc_ff * 1e-15
-        q_ext.append(c_eff / (w0 * elems.z0 * cc**2) if cc > 0 else np.inf)
-    return w0 / (2e6 * np.pi), q_int, q_ext[0], q_ext[1]

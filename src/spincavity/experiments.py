@@ -13,45 +13,26 @@ from dataclasses import replace
 import numpy as np
 
 from . import cavity_qed, circuit_model, fitting, spin_models
+# the scalar setup, defined in the numpy-free scalars
+from .scalars import (DEFAULT_TRANSITION_WEIGHT, MODE_VOLUME_MM3, OMEGA_R_MHZ, Q_EXT_MIN, Q_INT,
+                      SAMPLE1_NV_PPM, SAMPLE1_P1_PPM, SAMPLE1_VOLUME_MM3, coupling_budget,
+                      resonator_mode)
 
-OMEGA_R_MHZ = 5390.0
-Q_INT = 1300.0
-Q_EXT_MIN = 3500.0
 Q_EXT_MAX = 85000.0
 
 B110 = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
 B001 = np.array([0.0, 0.0, 1.0])
 AXIS_111 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 
-# effective mode volume reproducing the quoted 14 pT vacuum field
-MODE_VOLUME_MM3 = 11.45
-
-# Sample 1: 3 x 1.5 x 1.1 mm^3 plate, 10 ppm NV, 20 ppm P1
-SAMPLE1_VOLUME_MM3 = 3.0 * 1.5 * 1.1
-SAMPLE1_NV_PPM = 10.0
-SAMPLE1_P1_PPM = 20.0
-
 # ensemble linewidth used for the synthetic maps (FWHM); narrow enough that
 # the transmission peaks sit on the coupled-mode branches
 MAP_LINEWIDTH_MHZ = 2.5
-
-DEFAULT_TRANSITION_WEIGHT = 0.5  # idealized two-level drive matrix element
 
 
 # level pairs (lo, hi) of each defect's cavity-tuned lines, indexed by ascending
 # energy at the start of a sweep: NV lowest to highest; P1 (k, 5 - k) conserves
 # the nuclear projection, m_I = +1, 0, -1 in that order
 LINE_PAIRS = {"nv": ((0, 8),), "p1": ((0, 5), (1, 4), (2, 3))}
-
-
-def resonator_mode(
-    omega_r=OMEGA_R_MHZ, q_int=Q_INT, q_ext1=2.0 * Q_EXT_MIN, q_ext2=2.0 * Q_EXT_MIN
-):
-    """Cavity decay rates from the internal and per-port external quality factors.
-
-    The default ports each carry half of the combined external loss Q_EXT_MIN.
-    """
-    return cavity_qed.ResonatorMode(omega_r, omega_r / q_int, omega_r / q_ext1, omega_r / q_ext2)
 
 
 # per defect: field direction of the canonical sweep, the field bracket (mT)
@@ -150,32 +131,6 @@ def p1_crossings(omega_r=OMEGA_R_MHZ):
 def p1_anticrossing_map(line_index, g_ens):
     """Synthetic map of one of the three P1 anticrossings, 45 fields x 481 frequencies."""
     return _anticrossing_map("p1", line_index, g_ens, MAP_LINEWIDTH_MHZ)
-
-
-def coupling_budget(
-    density_ppm=SAMPLE1_NV_PPM,
-    volume_mm3=SAMPLE1_VOLUME_MM3,
-    orientation_fraction=0.5,
-    nuclear_fraction=1.0,
-    filling_factor=1.0,
-    omega_r=OMEGA_R_MHZ,
-    mode_volume_mm3=MODE_VOLUME_MM3,
-    transition_weight=DEFAULT_TRANSITION_WEIGHT,
-):
-    """Chain from mode volume to collective coupling; returns the whole ledger."""
-    spec = cavity_qed.EnsembleSpec(
-        density_ppm, volume_mm3, orientation_fraction, nuclear_fraction, filling_factor
-    )
-    brms = cavity_qed.vacuum_brms(omega_r, mode_volume_mm3)
-    g1 = cavity_qed.single_spin_coupling(brms, spin_models.GAMMA_E, transition_weight)
-    n = cavity_qed.effective_spin_count(spec)
-    g_ens = cavity_qed.ensemble_coupling(g1, n * spec.filling_factor)
-    return {
-        "brms_pt": brms,
-        "g_single_hz": g1,
-        "n_spins": n,
-        "g_ens_mhz": g_ens,
-    }
 
 
 # loop-gap element set: resonates near the measured frequency with the

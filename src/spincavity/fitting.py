@@ -12,10 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity_qed import polariton_frequencies
-
-
-class FitError(ValueError):
-    """Raised when the data violates a fit precondition (no peak, no crossing)."""
+from .scalars import FitError  # defined in the numpy-free scalars, for the CLI's exit codes
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-GAMMA_E = 28.0  # electron gyromagnetic ratio, MHz/mT
+from .scalars import DIMENSION, GAMMA_E, TrackingError  # defined in the numpy-free scalars
 
 # NV center: S = 1 electron, I = 1 nitrogen-14 nucleus
 D_ZFS = 2877.5      # zero-field splitting, MHz
@@ -182,10 +182,8 @@ def _defect_operators(s):
 
 
 _OPERATORS = {"nv": _defect_operators(1.0), "p1": _defect_operators(0.5)}
-# number of levels of each defect's product space
-DIMENSION = {defect: ops[0][0].shape[0] for defect, ops in _OPERATORS.items()}
 # electron Sx in the product space, by level count: the drive of transition_spectrum
-_DRIVE = {DIMENSION[defect]: ops[0][0] for defect, ops in _OPERATORS.items()}
+_DRIVE = {ops[0][0].shape[0]: ops[0][0] for ops in _OPERATORS.values()}
 
 
 @lru_cache(maxsize=64)
@@ -455,10 +453,6 @@ def assign(cost):
     for j in range(n):
         col[owner[j]] = j
     return col
-
-
-class TrackingError(ValueError):
-    """The field grid of a sweep is too coarse to follow the levels."""
 
 
 def _ambiguous(b_range, i, overlap):

@@ -11,6 +11,7 @@ from spincavity import cavity_qed as cq
 from spincavity import experiments as ex
 from spincavity import fitting as ft
 from spincavity import sweep_cli as cli
+from spincavity import sweep_io as sio
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,7 +149,7 @@ def _peak_guess_traces():
     loop_gap = cli.parse_config((ROOT / "configs" / "loop_gap.ini").read_text())
     grid, mag = clean_lorentzian()
     return {
-        "loop_gap": cli._synthesize_trace(loop_gap, 0.0),
+        "loop_gap": sio._synthesize_trace(loop_gap, 0.0),
         "left_edge": ft.Spectrum1D(grid[400:], mag[400:]),
         "right_edge": ft.Spectrum1D(grid[:401], mag[:401]),
     }
@@ -320,7 +321,7 @@ def test_column_peaks_match_the_per_column_reference(kind, n_b, n_w, seed, desce
 def test_column_peaks_match_the_reference_on_physical_maps(noise):
     p1_window = cli.parse_config((ROOT / "configs" / "p1_20ppm_b001.ini").read_text())
     maps = (ex.nv_anticrossing_map(), ex.p1_anticrossing_map(1, 8.8),
-            cli._synthesize_map(p1_window, 0.0))
+            sio._synthesize_map(p1_window, 0.0))
     for smap in maps:
         if noise:
             smap = ex.add_magnitude_noise(smap, noise, 5)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from spincavity import experiments as ex
 from spincavity import sweep_cli as cli
+from spincavity import sweep_io as sio
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted((ROOT / "configs").glob("*.ini"))
@@ -284,9 +285,9 @@ def test_dump_of_the_required_keys_shows_every_default(defect, nuclear):
 
 
 def test_defect_axis_picks_closest_bond():
-    axis = cli._defect_axis(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+    axis = sio._defect_axis(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     assert np.allclose(axis, np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
-    axis = cli._defect_axis(np.array([0.0, 0.0, 1.0]))
+    axis = sio._defect_axis(np.array([0.0, 0.0, 1.0]))
     assert np.allclose(np.abs(axis), 1.0 / np.sqrt(3.0))
 
 
@@ -331,7 +332,7 @@ def test_transitions_diagonalizes_once(tmp_path, monkeypatch, capsys):
         calls.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(cli.spin_models.np.linalg, "eigh", counted)
+    monkeypatch.setattr(sio.spin_models.np.linalg, "eigh", counted)
     cfgp = write(tmp_path, "nv.ini", NV_MINIMAL + "initial_levels = 0 4\n")
     assert cli.main(["transitions", "--config", cfgp]) == 0
     assert calls == [(61, 9, 9)]
@@ -490,7 +491,7 @@ def test_csv_number_format_matches_the_format_spec(x):
 
 def _g10_texts(values):
     """The whole-array formatter's text of each value, read down its planes."""
-    (planes,) = cli._format_g10(np.array(values, dtype=float))
+    (planes,) = sio._format_g10(np.array(values, dtype=float))
     return [text.tobytes().replace(b"\0", b"").decode() for text in planes.T]
 
 
@@ -546,10 +547,10 @@ def test_format_g10_on_bulk_near_ties_and_grids():
 def test_format_g10_shapes():
     # the axes of the map are formatted once and broadcast: (width,) + shape,
     # each array with the planes its own values use
-    assert [p.shape for p in cli._format_g10(np.zeros((3, 1)))] == [(1, 3, 1)]
-    assert [p.shape for p in cli._format_g10(np.array([]))] == [(0, 0)]
-    assert cli._format_g10([[1.5, -2.0]])[0].shape[1:] == (1, 2)
-    assert [p.shape for p in cli._format_g10(np.zeros(2), [-1.5], [])] == [(1, 2), (4, 1), (0, 0)]
+    assert [p.shape for p in sio._format_g10(np.zeros((3, 1)))] == [(1, 3, 1)]
+    assert [p.shape for p in sio._format_g10(np.array([]))] == [(0, 0)]
+    assert sio._format_g10([[1.5, -2.0]])[0].shape[1:] == (1, 2)
+    assert [p.shape for p in sio._format_g10(np.zeros(2), [-1.5], [])] == [(1, 2), (4, 1), (0, 0)]
 
 
 def test_fit_malformed_csv_exits_4(tmp_path, capsys):
@@ -690,15 +691,15 @@ def _map_text_per_row(smap):
 @pytest.mark.parametrize("grid", ["nv_config", "1x3"])
 def test_map_csv_matches_the_per_row_text(tmp_path, monkeypatch, grid):
     cfgp = str(ROOT / "configs" / "nv_10ppm_b110.ini")
-    smap = cli._synthesize_map(cli.parse_config(Path(cfgp).read_text()), 0.0)
+    smap = sio._synthesize_map(cli.parse_config(Path(cfgp).read_text()), 0.0)
     if grid == "1x3":
         # a config grid has at least 2 field points, so this map is put in place;
         # its axis values need 11 to 14 significant digits each
         values = np.array([[complex(0.25, -0.0), complex(-0.5, 1e-17), complex(5e-324, 0.0)]])
-        smap = cli.cavity_qed.SpectrumMap(
+        smap = sio.cavity_qed.SpectrumMap(
             [75.123456789012], [5389.0123456789, 5390.5, 5391.0 + 1.0 / 3.0], values
         )
-        monkeypatch.setattr(cli, "_synthesize_map", lambda cfg, noise: smap)
+        monkeypatch.setattr(sio, "_synthesize_map", lambda cfg, noise: smap)
     out = tmp_path / "map.csv"
     assert cli.main(["map", "--config", cfgp, "--out", str(out)]) == 0
     assert out.read_bytes() == _map_text_per_row(smap).encode()
@@ -722,11 +723,11 @@ def _shipped(name):
 def test_levels_csv_matches_the_per_row_text(tmp_path, monkeypatch, name, block):
     # block: lines per written block, None the default
     if block is not None:
-        monkeypatch.setattr(cli, "_BLOCK", block)
+        monkeypatch.setattr(sio, "_BLOCK", block)
     cfgp, cfg = _shipped(name)
-    direction, axis = cli._field_setup(cfg.sample)
-    grid = cli._b_grid(cfg.sweep)
-    curves = cli.spin_models.level_curve(cfg.sample.defect.lower(), direction, axis, grid)
+    direction, axis = sio._field_setup(cfg.sample)
+    grid = sio._b_grid(cfg.sweep)
+    curves = sio.spin_models.level_curve(cfg.sample.defect.lower(), direction, axis, grid)
     header = "B_mT," + ",".join(f"E{k}_MHz" for k in range(curves.energies.shape[1]))
     out = tmp_path / "levels.csv"
     assert cli.main(["levels", "--config", cfgp, "--out", str(out)]) == 0
@@ -745,9 +746,9 @@ def test_transitions_csv_matches_the_per_field_lines(tmp_path, name, levels):
         cfgp = write(tmp_path, name, text)
         cfg = cli.parse_config(text)
     sample = cfg.sample
-    direction, axis = cli._field_setup(sample)
-    grid = cli._b_grid(cfg.sweep)
-    sm = cli.spin_models
+    direction, axis = sio._field_setup(sample)
+    grid = sio._b_grid(cfg.sweep)
+    sm = sio.spin_models
     eig = sm.eigensystem(sm._BUILDERS[sample.defect.lower()](grid[:, None] * direction, axis))
     rows = [
         (b, ln.freq, ln.weight, ln.from_index, ln.to_index)
@@ -776,7 +777,7 @@ def _small_map(n_b, n_f):
     values = rng.normal(size=(n_b, n_f)) + 1j * rng.normal(size=(n_b, n_f))
     values[0, :2] = complex(0.0, -0.0), complex(5e-324, 1e-17)
     b_axis = 75.123456789012 + np.arange(n_b) / 3.0
-    return cli.cavity_qed.SpectrumMap(b_axis, 5389.0123456789 + 0.7 * np.arange(n_f), values)
+    return sio.cavity_qed.SpectrumMap(b_axis, 5389.0123456789 + 0.7 * np.arange(n_f), values)
 
 
 @pytest.mark.parametrize("block", [1, 7, 500])
@@ -786,9 +787,9 @@ def test_map_csv_in_blocks_matches_the_per_row_text(tmp_path, monkeypatch, capsy
                                                     shape, to_stdout):
     # blocks of whole B rows, the last one short, with the (n, 1) B column and
     # the (m,) f column formatted in each block; to a file and to stdout
-    monkeypatch.setattr(cli, "_BLOCK", block)
+    monkeypatch.setattr(sio, "_BLOCK", block)
     smap = _small_map(*shape)
-    monkeypatch.setattr(cli, "_synthesize_map", lambda cfg, noise: smap)
+    monkeypatch.setattr(sio, "_synthesize_map", lambda cfg, noise: smap)
     out = tmp_path / "map.csv"
     argv = ["map", "--config", str(ROOT / "configs" / "nv_10ppm_b110.ini")]
     assert cli.main(argv + ([] if to_stdout else ["--out", str(out)])) == 0
@@ -801,11 +802,11 @@ def test_map_csv_in_blocks_matches_the_per_row_text(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("block", [1, 7, 500])
 def test_csv_columns_broadcast_in_blocks(tmp_path, monkeypatch, block):
     # a column shaped (1, m) holds one row for every block, as (m,) does
-    monkeypatch.setattr(cli, "_BLOCK", block)
+    monkeypatch.setattr(sio, "_BLOCK", block)
     b, f = np.arange(9.0)[:, None] / 7.0, np.linspace(-1.0, 1.0, 5)
     columns = (b, f[None, :], f, b * f + 1e-300)
     path = tmp_path / "grid.csv"
-    cli._write_csv(str(path), "a,b,c,d", columns)
+    sio._write_csv(str(path), "a,b,c,d", columns)
     expected = _csv_text_per_row("a,b,c,d", [c.ravel() for c in np.broadcast_arrays(*columns)])
     assert path.read_bytes() == expected.encode()
 
@@ -839,8 +840,8 @@ def test_csv_columns_of_hard_values_in_blocks(tmp_path_factory, columns):
     rows = [c.ravel() for c in np.broadcast_arrays(*columns)]
     expected = _csv_text_per_row("a,b,c,d", rows).encode()
     for block in (1, 7, 500):
-        with mock.patch.object(cli, "_BLOCK", block):
-            cli._write_csv(str(path), "a,b,c,d", columns)
+        with mock.patch.object(sio, "_BLOCK", block):
+            sio._write_csv(str(path), "a,b,c,d", columns)
         assert path.read_bytes() == expected, f"block {block}"
 
 
@@ -849,9 +850,9 @@ def test_csv_columns_of_hard_values_in_blocks(tmp_path_factory, columns):
 def test_transitions_csv_with_no_lines_is_its_header(tmp_path, monkeypatch, capsys, block,
                                                       to_stdout):
     if block is not None:
-        monkeypatch.setattr(cli, "_BLOCK", block)
+        monkeypatch.setattr(sio, "_BLOCK", block)
     empty = (np.zeros(0, int), np.zeros(0), np.zeros(0), np.zeros(0, int), np.zeros(0, int))
-    monkeypatch.setattr(cli.spin_models, "transition_spectrum", lambda eig, initial_levels: empty)
+    monkeypatch.setattr(sio.spin_models, "transition_spectrum", lambda eig, initial_levels: empty)
     out = tmp_path / "transitions.csv"
     argv = ["transitions", "--config", str(ROOT / "configs" / "nv_10ppm_b110.ini")]
     assert cli.main(argv + ([] if to_stdout else ["--out", str(out)])) == 0
@@ -867,10 +868,10 @@ def test_csv_write_and_read_memory_is_bounded_by_the_block(tmp_path):
     path = str(tmp_path / "map.csv")
     tracemalloc.start()
     try:
-        cli._write_csv(path, "B_mT,f_MHz,S21_mag,S21_arg", columns)
+        sio._write_csv(path, "B_mT,f_MHz,S21_mag,S21_arg", columns)
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        data = cli._read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
+        data = sio._read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -971,8 +972,8 @@ def test_csv_reader_matches_the_line_list_reader(tmp_path_factory, text, block):
     with open(path, "wb") as fh:
         fh.write(text.encode())
     expected = _read_outcome(_read_csv_from_lines, path)
-    with mock.patch.object(cli, "_BLOCK", block):
-        got = _read_outcome(cli._read_csv, path)
+    with mock.patch.object(sio, "_BLOCK", block):
+        got = _read_outcome(sio._read_csv, path)
     if isinstance(expected, str):
         assert got == expected
     else:
@@ -1136,8 +1137,94 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+_LAZY_PACKAGE = """
+import sys
+import spincavity
+print("numpy" in sys.modules)
+print(sorted(set(spincavity.__all__) & set(dir(spincavity))))
+print(spincavity.fitting.fit_lorentzian.__module__)
+names = {}
+exec("from spincavity import *", names)
+print(sorted(k for k, v in names.items() if getattr(v, "__name__", "") == "spincavity." + k))
+"""
+
+
+def test_package_import_loads_no_numpy_and_reaches_every_module():
+    proc = run_python("-c", _LAZY_PACKAGE)
+    assert proc.returncode == 0, proc.stderr
+    six = str(["cavity_qed", "circuit_model", "experiments", "fitting", "spin_models", "sweep_cli"])
+    assert proc.stdout.splitlines() == ["False", six, "spincavity.fitting", six]
+
+
+def run_cli_fresh(*argv):
+    """`python -m spincavity.sweep_cli *argv` with -X importtime: (process, the
+    names of the modules it imported, its stderr without the import lines)."""
+    proc = run_python("-X", "importtime", "-m", "spincavity.sweep_cli", *argv)
+    timed = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    imported = {line.rsplit("|", 1)[1].strip() for line in timed}
+    return proc, imported, [line for line in proc.stderr.splitlines() if line not in timed]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["config", "dump", "--config", str(p)] for p in SHIPPED),
+    *(["budget", "--config", str(p)] for p in SHIPPED if p.name != "loop_gap.ini"),
+], ids=lambda argv: "-".join(argv[:-2] + [Path(argv[-1]).stem]))
+def test_scalar_commands_run_without_numpy(capsys, argv):
+    proc, imported, errors = run_cli_fresh(*argv)
+    assert (proc.returncode, errors) == (0, [])
+    assert "numpy" not in imported and "spincavity" in imported
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_help_and_config_errors_run_without_numpy(tmp_path):
+    proc, imported, errors = run_cli_fresh("--help")
+    assert (proc.returncode, errors) == (0, [])
+    assert proc.stdout.startswith("usage: spincavity ")
+    assert "numpy" not in imported
+    cfgp = write(tmp_path, "bad.ini", NV_MAP.replace("density_ppm = 10", "density_ppm = nan"))
+    proc, imported, errors = run_cli_fresh("budget", "--config", cfgp)
+    assert proc.returncode == 2
+    assert errors == ["config error: key 'density_ppm' in [sample] is not finite: 'nan'"]
+    assert "numpy" not in imported
+
+
+@pytest.mark.parametrize("argv, text, code, reason", [
+    (["fit", "--in", "m.csv", "--noise", "0.1"], NV_MAP, 2,
+     "config error: --noise applies to synthesized data only; it cannot be used with --in"),
+    (["fit", "--in", "{tmp}/missing.csv"], NV_MAP, 4, "data error: cannot read "
+     "{tmp}/missing.csv: [Errno 2] No such file or directory: '{tmp}/missing.csv'"),
+    (["levels"], P1_COARSE, 2, f"config error: {COARSE_REASON}"),
+    (["fit"], NV_MAP.replace("density_ppm = 10", "density_ppm = 0").replace("g_ens_mhz = 11.5", ""),
+     3, None),
+], ids=["noise-with-in", "missing-in", "coarse-grid", "fit-error"])
+def test_array_command_errors_keep_their_exit_codes_under_m(tmp_path, argv, text, code, reason):
+    # the errors are raised in sweep_io and mapped by sweep_cli running as
+    # __main__, which sweep_io's import must not load a second time
+    cfgp = write(tmp_path, "cfg.ini", text)
+    proc, imported, errors = run_cli_fresh(*(a.format(tmp=tmp_path) for a in argv), "--config", cfgp)
+    assert proc.returncode == code
+    if reason is None:
+        assert len(errors) == 1 and errors[0].startswith("fit error: ")
+    else:
+        assert errors == [reason.format(tmp=tmp_path)]
+    assert "numpy" in imported and "spincavity.sweep_cli" not in imported
+
+
 def test_config_dump_cli(tmp_path, capsys):
     cfgp = write(tmp_path, "cfg.ini", NV_MAP)
     assert cli.main(["config", "dump", "--config", cfgp]) == 0
     dumped = capsys.readouterr().out
     assert cli.parse_config(dumped) == cli.parse_config(NV_MAP)
+
+
+def test_main_reuses_its_parser_and_looks_commands_up_when_they_run(tmp_path, monkeypatch):
+    cfgp = write(tmp_path, "cfg.ini", NV_MAP)
+    parser = cli._build_parser()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_budget", lambda cfg, args: ran.append("budget") or 0)
+    monkeypatch.setattr(sio, "cmd_levels", lambda cfg, args: ran.append("levels") or 0)
+    assert cli.main(["budget", "--config", cfgp]) == 0
+    assert cli.main(["levels", "--config", cfgp]) == 0
+    assert ran == ["budget", "levels"]
+    assert cli._build_parser() is parser
