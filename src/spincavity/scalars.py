@@ -38,11 +38,11 @@ DEFAULT_TRANSITION_WEIGHT = 0.5  # idealized two-level drive matrix element
 
 
 class ConfigError(Exception):
-    pass
+    """A config, or an option next to it, that the command cannot run with (exit 2)."""
 
 
 class CsvError(Exception):
-    pass
+    """A CSV input that cannot be read as the command's data (exit 4)."""
 
 
 class FitError(ValueError):

@@ -18,7 +18,7 @@ import configparser
 import functools
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import scalars
 from .scalars import ConfigError, CsvError  # the errors main maps to exit codes
@@ -152,9 +152,16 @@ def _parse_circuit(values):
     for key, f in zip(_CIRCUIT_KEYS, fields(scalars.CircuitElements)):
         values.setdefault(key, f.default)
     try:
-        return scalars.CircuitElements(*(values[k] for k in _CIRCUIT_KEYS))
+        circuit = scalars.CircuitElements(*(values[k] for k in _CIRCUIT_KEYS))
     except ValueError as exc:
         raise ConfigError(f"invalid circuit elements in [resonator]: {exc}")
+    try:  # extreme elements over- or underflow the closed-form resonance
+        f0 = scalars.q_decomposition(replace(circuit, cx=0.0))[0]
+    except ZeroDivisionError:
+        f0 = math.inf
+    if not 0.0 < f0 < math.inf:
+        raise ConfigError(f"circuit elements in [resonator] resonate at {f0:g} MHz")
+    return circuit
 
 
 def parse_config(text):

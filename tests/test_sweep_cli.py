@@ -199,6 +199,13 @@ def test_parse_initial_levels_up_to_the_defect_dimension():
     # a grid too coarse to track the levels used to end in a traceback, exit 1
     pytest.param(["levels"], P1_COARSE, COARSE_REASON, id="levels-coarse-p1-grid"),
     pytest.param(["map"], P1_COARSE, COARSE_REASON, id="map-coarse-p1-grid"),
+    # l * C underflows, or overflows, the closed-form resonance: a traceback
+    # or g_ens_mhz = inf (exit 0), and nan traces with exit 0, before
+    pytest.param(["budget"], NV_MINIMAL + CIRCUIT_ONLY.replace("l_nh = 0.25", "l_nh = 1e-310"),
+                 "circuit elements in [resonator] resonate at inf MHz", id="budget-tiny-circuit"),
+    pytest.param(["circuit"], CIRCUIT_ONLY.replace("l_nh = 0.25", "l_nh = 1e300").replace(
+        "c_pf = 3.465", "c_pf = 1e300"), "circuit elements in [resonator] resonate at 0 MHz",
+        id="circuit-huge-circuit"),
 ])
 def test_config_errors_exit_2_with_one_line_reason(tmp_path, capsys, command, text, reason):
     cfgp = write(tmp_path, "bad.ini", text)
