@@ -9,10 +9,13 @@ m = +s ... -s.
 The builders assemble the Hamiltonian in the defect frame, z along the
 symmetry axis, because the zero-field and hyperfine tensors are diagonal only
 there; the lab field is rotated in.  Those terms, and the quadrupole, are
-axial, so they commute with J_z = S_z + I_z.  level_curve therefore builds a
-sweep in the field frame, the defect frame turned about z by the field's
-azimuth, where the field lies in the xz plane and H is real symmetric; it
-diagonalizes that cheaper real stack and turns the eigenvectors back.
+axial, so they commute with J_z = S_z + I_z.  Sy is the only imaginary
+operator, so a builder returns a real symmetric float stack when no
+defect-frame field has a y component, and a complex one otherwise.
+level_curve therefore builds a sweep in the field frame, the defect frame
+turned about z by the field's azimuth, where the field lies in the xz plane;
+it diagonalizes that cheaper real stack, turns the eigenvectors back, and
+does per-step tracking work only where the eigenvalue order changes.
 """
 
 import math
@@ -212,8 +215,12 @@ def _build(defect, b_dc, axis, p):
     # a stacked matmul rounds each row exactly as rot @ b does
     bf = (rot @ b[..., None])[..., 0]
     s_ops = _OPERATORS[defect][0]
+    if not np.any(bf[..., 1]):
+        # Sy is the only imaginary operator (Sy Iy is real): without a y field
+        # every sum is the real part of the complex one, formed in the same order
+        s_ops, terms = [o.real for o in s_ops], [t.real for t in terms]
     # in place, but with the roundings of gamma_e * (0 + Z_x + Z_y + Z_z) + terms
-    h = np.zeros(bf.shape[:-1] + s_ops[0].shape, dtype=complex)
+    h = np.zeros(bf.shape[:-1] + s_ops[0].shape, dtype=s_ops[0].dtype)
     zeeman = np.empty_like(h)
     for a in range(3):
         h += np.multiply(bf[..., a, None, None], s_ops[a], out=zeeman)
@@ -231,8 +238,10 @@ def build_nv_hamiltonian(b_dc, nv_axis, params=None):
         its single-field build
     :param nv_axis: unit vector along the NV symmetry axis, lab frame
     :param params: NVParams; defaults to the literature values above
-    :returns: Hermitian 9x9 complex array, MHz, electron (x) nuclear ordering;
-        (n, 9, 9) for a stack of fields
+    :returns: Hermitian 9x9 array, MHz, electron (x) nuclear ordering;
+        (n, 9, 9) for a stack of fields.  It is float when no field has a y
+        component in the defect frame, each value the real part of the
+        complex build, and complex otherwise.
     """
     return _build("nv", b_dc, nv_axis, params if params is not None else NV_DEFAULT)
 
@@ -240,8 +249,8 @@ def build_nv_hamiltonian(b_dc, nv_axis, params=None):
 def build_p1_hamiltonian(b_dc, p1_axis, params=None):
     """6x6 Hamiltonian of one P1 orientation: Zeeman plus axial hyperfine.
 
-    Same conventions as the NV builder, stacks included; no zero-field or
-    quadrupole term.
+    Same conventions as the NV builder, stacks and the float result without
+    a defect-frame y field included; no zero-field or quadrupole term.
     """
     return _build("p1", b_dc, p1_axis, params if params is not None else P1_DEFAULT)
 
@@ -257,13 +266,9 @@ def eigensystem(h):
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
-    if h.size:
-        # np.conjugate always returns a new array (h.conj() of a real h is h
-        # itself), so the difference can be formed in place without touching h
-        asym = np.conjugate(h).swapaxes(-1, -2)
-        if np.max(np.abs(np.subtract(h, asym, out=asym))) > 1e-8:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        del asym
+    # h.conj() of a real h is h itself, not a copy
+    if h.size and np.max(np.abs(h - h.conj().swapaxes(-1, -2))) > 1e-8:
+        raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(h)
     return EigenSystem(vals, vecs)
 
@@ -336,17 +341,20 @@ def level_curve(model, b_direction, axis, b_range, params=None):
     The whole sweep is built as one (n, d, d) stack and diagonalized in one
     call, in the field frame: with e the sweep direction in the defect frame
     and phi = atan2(e_y, e_x) its azimuth, the builder is given the axis z
-    and the fields b (hypot(e_x, e_y), 0, e_z), so every matrix is real
-    symmetric and a real eigh diagonalizes the stack.  As H(phi) =
+    and the fields b (hypot(e_x, e_y), 0, e_z), so it returns a real
+    symmetric stack and a real eigh diagonalizes it.  As H(phi) =
     V H(0) V^H with V = exp(-i phi J_z) diagonal, row k of the field-frame
     vectors times exp(-i phi (m_s + m_I)_k) gives the returned vectors, the
     eigenvectors of the builder's defect-frame H; the energies are its
     eigenvalues to rounding.  Adjacent grid points are matched through the
     eigenvector overlap |V[i-1]^H V[i]|: the row-wise maximum is taken where
     it is a permutation, which is then the best global assignment, and the
-    best global assignment is solved for where it is not.  An overlap below 0.5 means the grid is
-    too coarse to follow the levels and raises TrackingError, a ValueError,
-    with the first offending step.
+    best global assignment is solved for where it is not.  Only steps whose
+    row-wise maximum is not the identity change the order, so only they are
+    visited one by one, and only the fields from the first change on are
+    reordered.  An overlap below 0.5 means the grid is too coarse to follow
+    the levels and raises TrackingError, a ValueError, with the first
+    offending step.
     """
     b_range = np.asarray(b_range, dtype=float)
     if b_range.ndim != 1 or b_range.size < 1:
@@ -367,21 +375,23 @@ def level_curve(model, b_direction, axis, b_range, params=None):
         raise ValueError(f"unknown model {model!r}, expected 'nv' or 'p1'")
     e = rotation_to_z(axis) @ direction
     fields = np.multiply.outer(b_range, [math.hypot(e[0], e[1]), 0.0, e[2]])
-    h = _BUILDERS[key](fields, (0.0, 0.0, 1.0), params)
-    assert not np.any(h.imag), "field-frame Hamiltonian is not real"
-    eig = eigensystem(h.real)
-    del h  # free the stack before tracking
+    # no field has a y component, so the builder returns a real stack
+    eig = eigensystem(_BUILDERS[key](fields, (0.0, 0.0, 1.0), params))
     orders = _track(eig.vectors, b_range)
+    # reorder only the fields from the first order change on, none on a generic sweep
+    first = np.append((orders != orders[0]).any(axis=1), True).argmax()
+    eig.values[first:] = np.take_along_axis(eig.values[first:], orders[first:], axis=1)
+    eig.vectors[first:] = np.take_along_axis(eig.vectors[first:], orders[first:, None, :], axis=2)
     phases = np.exp(-1j * math.atan2(e[1], e[0]) * _JZ[key])
-    return LevelCurves(
-        b_range,
-        np.take_along_axis(eig.values, orders, axis=1),
-        phases[:, None] * np.take_along_axis(eig.vectors, orders[:, None, :], axis=2),
-    )
+    return LevelCurves(b_range, eig.values, phases[:, None] * eig.vectors)
 
 
 def _track(vecs, b_range):
-    """Column order of each field's eigenvectors that follows the levels."""
+    """Column order of each field's eigenvectors that follows the levels.
+
+    An (n, dim) array; the runs of steps that keep the order are filled by
+    slice, and only the steps that change it are visited.
+    """
     n, dim = vecs.shape[:2]
     # in blocks, which bounds the complex temporaries
     overlap = np.empty((n - 1, dim, dim))
@@ -393,21 +403,23 @@ def _track(vecs, b_range):
     worst = overlap.max(axis=2).min(axis=1)
     low = np.flatnonzero(is_perm & (worst < 0.5))
     stop = low[0] if low.size else n - 1
-    order = list(range(dim))
-    orders = [order]
-    for i, step in enumerate(best[:stop].tolist()):
+    orders = np.empty((stop + 1, dim), dtype=np.intp)
+    order, start = np.arange(dim), 0
+    # the order changes only at steps whose row-wise best match is not the identity
+    for i in np.flatnonzero((best[:stop] != order).any(axis=1)).tolist():
+        orders[start : i + 1], start = order, i + 1
         if is_perm[i]:
-            order = [step[k] for k in order]
+            order = best[i][order]
         else:
             tracked = overlap[i][order]
-            order = assign(-tracked)
+            order = np.array(assign(-tracked))
             w = tracked[range(dim), order].min()
             if w < 0.5:
                 raise _ambiguous(b_range, i, w)
-        orders.append(order)
+    orders[start:] = order
     if low.size:
         raise _ambiguous(b_range, stop, worst[stop])
-    return np.array(orders)
+    return orders
 
 
 def assign(cost):

@@ -156,11 +156,15 @@ def _parse_circuit(values):
     except ValueError as exc:
         raise ConfigError(f"invalid circuit elements in [resonator]: {exc}")
     try:  # extreme elements over- or underflow the closed-form resonance
-        f0 = scalars.q_decomposition(replace(circuit, cx=0.0))[0]
+        f0, *qs = scalars.q_decomposition(replace(circuit, cx=0.0))
     except ZeroDivisionError:
-        f0 = math.inf
+        f0, qs = math.inf, ()
     if not 0.0 < f0 < math.inf:
         raise ConfigError(f"circuit elements in [resonator] resonate at {f0:g} MHz")
+    if min(qs) == math.inf:  # a mode without any decay rate
+        raise ConfigError(
+            "circuit elements in [resonator] have no loss: Q_int and both Q_ext are inf"
+        )
     return circuit
 
 

@@ -7,6 +7,7 @@ better than 1e-11 MHz.
 """
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,15 @@ AXIS_111 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def _normalized_or_none(v):
+    n = np.linalg.norm(v)
+    return v / n if n > 1e-3 else None
+
+
+_UNIT_VECTORS = st.lists(st.floats(-1, 1), min_size=3, max_size=3).map(
+    lambda v: _normalized_or_none(np.array(v))).filter(lambda v: v is not None)
 
 
 def lab_frame_nv(b_vec, n, p=None):
@@ -242,6 +252,59 @@ def test_stacked_build_equals_per_row_build(build, spin, default, params):
         for b, h in zip(fields, stack):
             assert np.array_equal(h, build(b, axis, p))
             assert np.array_equal(h, term_by_term(spin, b, axis, p or default))
+
+
+def _complex_build(model, b_dc, axis, p):
+    """The builders' complex path, rebuilt from _OPERATORS: the Zeeman sum
+    times gamma_e, then zero-field splitting, hyperfine in (a, c) order and
+    quadrupole, each added in place to a complex stack."""
+    s_ops, si, szz, izz = sm._OPERATORS[model]
+    bf = (sm.rotation_to_z(axis) @ np.asarray(b_dc, dtype=float)[..., None])[..., 0]
+    h = np.zeros(bf.shape[:-1] + s_ops[0].shape, dtype=complex)
+    for a in range(3):
+        h += bf[..., a, None, None] * s_ops[a]
+    h *= p.gamma_e
+    a_mat = sm._hyperfine_matrix(p.hyperfine)
+    terms = [a_mat[a, c] * si[a][c] for a in range(3) for c in range(3) if a_mat[a, c] != 0.0]
+    if model == "nv":
+        terms = [p.d_zfs * szz] + terms + [p.quadrupole_p * izz]
+    for t in terms:
+        h += t
+    return h, bf
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_FIELD = st.one_of(_SIGNED_ZERO, st.floats(-300.0, 300.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(["nv", "p1"]),
+    axis=st.one_of(st.sampled_from([B001, -B001, AXIS_111]), _UNIT_VECTORS),
+    fields=st.lists(st.tuples(_FIELD, _SIGNED_ZERO | _FIELD, _FIELD), min_size=1, max_size=6),
+    single=st.booleans(),
+)
+@example(model="nv", axis=B001, fields=[(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)], single=False)
+@example(model="p1", axis=-B001, fields=[(-0.0, -0.0, -0.0)], single=True)
+@example(model="nv", axis=-B001, fields=[(12.5, -0.0, -40.0), (-3.0, 0.0, 7.0)], single=False)
+@example(model="p1", axis=B001, fields=[(12.5, 0.0, -40.0), (-3.0, 1e-300, 7.0)], single=False)
+@example(model="nv", axis=AXIS_111, fields=[(0.0, 0.0, 0.0)], single=True)
+def test_builders_are_real_exactly_without_a_defect_frame_y_field(model, axis, fields, single):
+    """Float exactly when every defect-frame field has zero y (either sign),
+    each value then the real part of the complex build bit for bit, signed
+    zeros included; complex otherwise, equal to the complex build bit for bit."""
+    b = np.array(fields[0] if single else fields)
+    p = sm.NV_DEFAULT if model == "nv" else sm.P1_DEFAULT
+    h = sm._BUILDERS[model](b, axis)
+    ref, bf = _complex_build(model, b, axis, p)
+    assert h.shape == ref.shape
+    if np.any(bf[..., 1]):
+        assert h.dtype == complex
+        assert h.tobytes() == ref.tobytes()
+    else:
+        assert h.dtype == float
+        assert not np.any(ref.imag)
+        assert h.tobytes() == np.ascontiguousarray(ref.real).tobytes()
 
 
 @pytest.mark.parametrize("build", [sm.build_nv_hamiltonian, sm.build_p1_hamiltonian])
@@ -659,15 +722,6 @@ def _jz(s):
     return np.diag(np.kron(sz, np.eye(3)) + np.kron(np.eye(sz.shape[0]), iz)).real
 
 
-def _normalized_or_none(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 1e-3 else None
-
-
-_UNIT_VECTORS = st.lists(st.floats(-1, 1), min_size=3, max_size=3).map(
-    lambda v: _normalized_or_none(np.array(v))).filter(lambda v: v is not None)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     model=st.sampled_from(["nv", "p1"]),
@@ -697,7 +751,7 @@ def test_level_curve_field_frame_matches_the_defect_frame(model, axis, direction
     build = sm._BUILDERS[model]
     with mock.patch.dict(sm._BUILDERS, {model: recording}):
         c = sm.level_curve(model, direction, axis, grid)
-    assert len(built) == 1 and built[0].dtype == complex
+    assert len(built) == 1 and built[0].dtype == float
     assert not np.any(built[0].imag)
     h = build(grid[:, None] * direction, axis)
     ref = np.linalg.eigvalsh(h)
@@ -706,6 +760,104 @@ def test_level_curve_field_frame_matches_the_defect_frame(model, axis, direction
     v = c.vectors
     assert np.max(np.abs(h @ v - v * c.energies[:, None, :])) <= 1e-9
     assert np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(v.shape[1]))) <= 1e-9
+
+
+def _per_step_track(vecs, b_range):
+    """The tracker with one Python step per pair of fields, composing the
+    order at every step: the oracle of _track."""
+    n, dim = vecs.shape[:2]
+    overlap = np.empty((n - 1, dim, dim))
+    for s in range(0, n - 1, 128):
+        e = min(s + 128, n - 1)
+        np.abs(vecs[s:e].conj().swapaxes(1, 2) @ vecs[s + 1 : e + 1], out=overlap[s:e])
+    best = overlap.argmax(axis=2)
+    is_perm = np.all(np.sort(best, axis=1) == np.arange(dim), axis=1)
+    worst = overlap.max(axis=2).min(axis=1)
+    low = np.flatnonzero(is_perm & (worst < 0.5))
+    stop = low[0] if low.size else n - 1
+    order = list(range(dim))
+    orders = [order]
+    for i, step in enumerate(best[:stop].tolist()):
+        if is_perm[i]:
+            order = [step[k] for k in order]
+        else:
+            tracked = overlap[i][order]
+            order = sm.assign(-tracked)
+            w = tracked[range(dim), order].min()
+            if w < 0.5:
+                raise sm._ambiguous(b_range, i, w)
+        orders.append(order)
+    if low.size:
+        raise sm._ambiguous(b_range, stop, worst[stop])
+    return np.array(orders)
+
+
+def _tracks_as_per_step(model, direction, axis, grid):
+    """_track and level_curve against the per-step oracle, every field
+    reordered, on level_curve's field-frame stack; a TrackingError must be
+    the same.  Returns the oracle's orders, or None where it raised."""
+    e = sm.rotation_to_z(axis) @ unit(direction)
+    fields = np.multiply.outer(grid, [math.hypot(e[0], e[1]), 0.0, e[2]])
+    eig = sm.eigensystem(sm._BUILDERS[model](fields, B001))
+    try:
+        orders = _per_step_track(eig.vectors, grid)
+    except sm.TrackingError as exc:
+        for call in (lambda: sm._track(eig.vectors, grid),
+                     lambda: sm.level_curve(model, direction, axis, grid)):
+            with pytest.raises(sm.TrackingError, match=re.escape(str(exc))):
+                call()
+        return None
+    assert np.array_equal(sm._track(eig.vectors, grid), orders)
+    c = sm.level_curve(model, direction, axis, grid)
+    phases = np.exp(-1j * math.atan2(e[1], e[0]) * _jz(1.0 if model == "nv" else 0.5))
+    assert np.array_equal(c.energies, np.take_along_axis(eig.values, orders, axis=1))
+    assert np.array_equal(
+        c.vectors, phases[:, None] * np.take_along_axis(eig.vectors, orders[:, None, :], axis=2))
+    return orders
+
+
+@pytest.mark.parametrize("model, b_max", [("nv", 200.0), ("p1", 300.0)])
+def test_tracking_matches_the_per_step_loop_on_generic_sweeps(model, b_max):
+    # the bench's sweeps: avoided crossings only, so the order never changes
+    rng = np.random.default_rng(1931)
+    grid = np.linspace(0.0, b_max, 1500) + rng.uniform(5.0, 15.0)
+    for direction in rng.normal(size=(3, 3)):
+        orders = _tracks_as_per_step(model, direction, AXIS_111, grid)
+        assert np.all(orders == np.arange(orders.shape[1]))
+
+
+@pytest.mark.parametrize("model", ["nv", "p1"])
+@pytest.mark.parametrize("axis", [AXIS_111, B001, -B001])
+def test_tracking_matches_the_per_step_loop_through_true_crossings(model, axis):
+    # fields along the defect axis conserve J_z, so levels truly cross and
+    # the sorted order changes along the sweep
+    orders = _tracks_as_per_step(model, axis, axis, np.linspace(0.1, 150.0, 700))
+    assert not np.all(orders == np.arange(orders.shape[1]))
+
+
+def test_tracking_matches_the_per_step_loop_through_the_assignment_fallback():
+    # P1 along [001] from 0.5 mT: a step whose row-wise best match is no
+    # permutation, where both trackers solve the assignment
+    with mock.patch.object(sm, "assign", wraps=sm.assign) as spy:
+        orders = _tracks_as_per_step("p1", B001, AXIS_111, np.linspace(0.5, 300.0, 61))
+    assert spy.called and orders is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(["nv", "p1"]),
+    axis=st.one_of(st.sampled_from([B001, -B001, AXIS_111]), _UNIT_VECTORS),
+    direction=st.one_of(st.sampled_from(["axis", "-axis"]), _UNIT_VECTORS),
+    start=st.floats(-150.0, 150.0),
+    step=st.floats(0.01, 3.0),
+    n=st.integers(1, 300),
+)
+# a P1 grid too coarse to track: both raise the same TrackingError
+@example(model="p1", axis=AXIS_111, direction=B001, start=0.5, step=49.9, n=7)
+def test_tracking_matches_the_per_step_loop_on_drawn_sweeps(model, axis, direction, start, step, n):
+    if isinstance(direction, str):
+        direction = axis if direction == "axis" else -axis
+    _tracks_as_per_step(model, direction, axis, start + step * np.arange(n))
 
 
 def _lsa_tracked(model, grid):

@@ -177,6 +177,13 @@ def test_parse_initial_levels_up_to_the_defect_dimension():
     assert p1.sample.initial_levels == (5,)
 
 
+LOSSLESS_CIRCUIT = (
+    CIRCUIT_ONLY.replace("c_pf = 3.465", "c_pf = 1e6").replace("r_ohm = 11010", "r_ohm = 1e308")
+    .replace("cc1_ff = 10", "cc1_ff = 0").replace("cc2_ff = 10", "cc2_ff = 0")
+)
+LOSSLESS_REASON = "circuit elements in [resonator] have no loss: Q_int and both Q_ext are inf"
+
+
 @pytest.mark.parametrize("command, text, reason", [
     (["transitions"], NV_MINIMAL + "initial_levels = 12\n",
      "key 'initial_levels' in [sample] out of range: 12 (NV has levels 0 to 8)"),
@@ -206,6 +213,10 @@ def test_parse_initial_levels_up_to_the_defect_dimension():
     pytest.param(["circuit"], CIRCUIT_ONLY.replace("l_nh = 0.25", "l_nh = 1e300").replace(
         "c_pf = 3.465", "c_pf = 1e300"), "circuit elements in [resonator] resonate at 0 MHz",
         id="circuit-huge-circuit"),
+    # no decay rate at all: budget, map and fit ended in a ValueError traceback,
+    # and circuit wrote 1601 rows of zero transmission with exit 0
+    *(pytest.param([c], NV_MINIMAL + LOSSLESS_CIRCUIT, LOSSLESS_REASON, id=f"{c}-lossless")
+      for c in ("budget", "map", "fit", "circuit")),
 ])
 def test_config_errors_exit_2_with_one_line_reason(tmp_path, capsys, command, text, reason):
     cfgp = write(tmp_path, "bad.ini", text)
