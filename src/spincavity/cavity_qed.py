@@ -6,18 +6,15 @@ the usual g * sqrt(N) enhancement of N ground-state spins sharing one cavity
 mode.
 """
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-# the budget's scalar pieces, defined in the numpy-free scalars
+# the budget's scalar pieces and the record base, defined in the numpy-free scalars
 from .scalars import (CARBON_SITES_PER_MM3, LATTICE_A_MM, MU_0, PLANCK_H, EnsembleSpec,
-                      ResonatorMode, effective_spin_count, ensemble_coupling,
+                      Record, ResonatorMode, effective_spin_count, ensemble_coupling,
                       single_spin_coupling, vacuum_brms)
 
 
-@dataclass(frozen=True)
-class SpinLine:
+class SpinLine(Record):
     """One ESR transition as seen by the cavity.
 
     omega_s is one frequency, or one per field point of a map (s21_map).
@@ -34,8 +31,7 @@ class SpinLine:
             raise ValueError("coupling must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumMap:
+class SpectrumMap(Record, eq=False):
     """Complex S21 on a rectangular (field, frequency) grid."""
 
     b_axis: np.ndarray
@@ -93,7 +89,7 @@ def s21_map(b_grid, omega_grid, res, lines):
     b, omega = np.asarray(b_grid, dtype=float), np.asarray(omega_grid, dtype=float)
     if any(np.shape(ln.omega_s) != b.shape for ln in lines):
         raise ValueError("each line needs one frequency per field point")
-    columns = [replace(ln, omega_s=np.reshape(ln.omega_s, (-1, 1))) for ln in lines]
+    columns = [ln.replace(omega_s=np.reshape(ln.omega_s, (-1, 1))) for ln in lines]
     values = s21_spectrum(np.broadcast_to(omega, (b.size, omega.size)), res, columns)
     return SpectrumMap(b, omega, values)
 

@@ -8,8 +8,6 @@ field along [001] (all four bonds equivalent), the coupling budget, and a
 loop-gap element set matching the measured quality factors.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import cavity_qed, circuit_model, fitting, spin_models
@@ -167,7 +165,7 @@ def cc_for_qext(q_ext_combined):
 def loop_gap_trace(elems):
     """(frequency grid MHz, complex S21), 1601 points over 16 loaded linewidths
     around the circuit resonance."""
-    f0, q_int, q_e1, q_e2 = circuit_model.q_decomposition(replace(elems, cx=0.0))
+    f0, q_int, q_e1, q_e2 = circuit_model.q_decomposition(elems.replace(cx=0.0))
     width = f0 * (1.0 / q_int + 1.0 / q_e1 + 1.0 / q_e2)  # an uncoupled port adds 1/inf = 0
     grid = np.linspace(f0 - 8.0 * width, f0 + 8.0 * width, 1601)
     return grid, circuit_model.loop_gap_s21(grid, elems)

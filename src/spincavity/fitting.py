@@ -7,16 +7,13 @@ Every model returns its values together with a function that builds its
 analytic Jacobian from the same evaluation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cavity_qed import polariton_frequencies
-from .scalars import FitError  # defined in the numpy-free scalars, for the CLI's exit codes
+from .scalars import FitError, Record  # FitError is mapped to the CLI's exit code 3
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum1D:
+class Spectrum1D(Record, eq=False):
     """Frequency grid (MHz) and linear |S21| magnitudes."""
 
     omega: np.ndarray
@@ -35,8 +32,7 @@ class Spectrum1D:
         object.__setattr__(self, "magnitude", m)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     params: dict
     residual_rms: float
     converged: bool
@@ -314,9 +310,9 @@ def fit_avoided_crossing(smap):
     # cavity frequency: strongest peak in the most detuned usable columns
     n_edge = max(2, len(usable) // 5)
     edge_cols = usable[:n_edge] + usable[-n_edge:]
-    omega_r0 = float(np.median([per_column[i][-1] if len(per_column[i]) == 1
-                                else _strongest(omega_axis, mag[i], per_column[i])
-                                for i in edge_cols]))
+    omega_r0 = float(_median(np.array([per_column[i][-1] if len(per_column[i]) == 1
+                                       else _strongest(omega_axis, mag[i], per_column[i])
+                                       for i in edge_cols])))
 
     # the polariton sum rule gives the bare spin frequency per two-peak column
     bs = np.array([b_axis[i] for i in doubles])

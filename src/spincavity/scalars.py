@@ -1,15 +1,15 @@
 """Scalar pieces of the chain, importable without numpy.
 
 The constants, records and closed forms that the coupling budget and the
-config defaults are built from, and the errors the command line maps to exit
-codes.  The physics modules import them from here, so `experiments`,
-`cavity_qed`, `circuit_model`, `spin_models` and `fitting` hand out these same
-objects, and the CLI's `config dump` and `budget` run without loading numpy.
+config defaults are built from, the errors the command line maps to exit
+codes, and `Record`, the base of every record in the package.  The physics
+modules import them from here, so `experiments`, `cavity_qed`,
+`circuit_model`, `spin_models` and `fitting` hand out these same objects, and
+the CLI's `config dump` and `budget` run without loading numpy.
 Frequencies are in MHz, fields in mT or pT as noted, volumes in mm^3.
 """
 
 import math
-from dataclasses import dataclass
 
 GAMMA_E = 28.0  # electron gyromagnetic ratio, MHz/mT
 # number of levels of each defect's electron (x) nitrogen-14 product space
@@ -53,8 +53,68 @@ class TrackingError(ValueError):
     """The field grid of a sweep is too coarse to follow the levels."""
 
 
-@dataclass(frozen=True)
-class ResonatorMode:
+class Record:
+    """An immutable record.  Its fields are the class annotations, in order,
+    and a class attribute of a field's name is its default.
+
+    Every method is inherited, so defining a record generates no code: the
+    instance takes its fields by position or keyword (a missing, unknown or
+    repeated field is a TypeError), then runs `__post_init__`, which may
+    validate or convert them with `object.__setattr__`.  Records compare and
+    hash by their field values; `class R(Record, eq=False)` compares and
+    hashes by identity instead, as records of arrays do.
+    """
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        values = dict(zip(cls._fields, args))
+        wrong = [name for name in kwargs if name in values or name not in cls._fields]
+        if wrong or len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, each once; "
+                            f"got {len(args)} by position and {list(kwargs)} by keyword")
+        values = {**cls._defaults, **values, **kwargs}
+        missing = [name for name in cls._fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__} is missing the fields {missing}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, validated again."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class ResonatorMode(Record):
     """Cavity frequency and decay rates, all in MHz (FWHM convention)."""
 
     omega_r: float
@@ -72,8 +132,7 @@ class ResonatorMode:
         return self.kappa_int + self.kappa_ext1 + self.kappa_ext2
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(Record):
     """Inputs of the spin-count budget for one defect species in one sample."""
 
     density_ppm: float
@@ -91,8 +150,7 @@ class EnsembleSpec:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class CircuitElements:
+class CircuitElements(Record):
     """Lumped elements of the loop-gap resonator network (circuit_model)."""
 
     l: float            # nH

@@ -19,12 +19,11 @@ does per-step tracking work only where the eigenvalue order changes.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .scalars import DIMENSION, GAMMA_E, TrackingError  # defined in the numpy-free scalars
+from .scalars import DIMENSION, GAMMA_E, Record, TrackingError  # defined in the numpy-free scalars
 
 # NV center: S = 1 electron, I = 1 nitrogen-14 nucleus
 D_ZFS = 2877.5      # zero-field splitting, MHz
@@ -39,8 +38,7 @@ A_P1_PAR = 81.33    # MHz
 _UNIT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class HyperfineTensor:
+class HyperfineTensor(Record):
     """Hyperfine coupling, axially symmetric about the defect symmetry axis
     (the nitrogen sits along the bond for both defects treated here)."""
 
@@ -48,16 +46,14 @@ class HyperfineTensor:
     a_par: float
 
 
-@dataclass(frozen=True)
-class NVParams:
+class NVParams(Record):
     gamma_e: float = GAMMA_E
     d_zfs: float = D_ZFS
     quadrupole_p: float = QUAD_P
     hyperfine: HyperfineTensor = HyperfineTensor(A_NV_PERP, A_NV_PAR)
 
 
-@dataclass(frozen=True)
-class P1Params:
+class P1Params(Record):
     gamma_e: float = GAMMA_E
     hyperfine: HyperfineTensor = HyperfineTensor(A_P1_PERP, A_P1_PAR)
 
@@ -66,8 +62,7 @@ NV_DEFAULT = NVParams()
 P1_DEFAULT = P1Params()
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
+class EigenSystem(Record, eq=False):
     """Eigenvalues sorted ascending (MHz) and orthonormal eigenvectors as columns.
 
     For a stack of n matrices, values is (n, d) and vectors is (n, d, d).
@@ -77,16 +72,14 @@ class EigenSystem:
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class TransitionLine:
+class TransitionLine(Record):
     freq: float
     weight: float
     from_index: int
     to_index: int
 
 
-@dataclass(frozen=True, eq=False)
-class LevelCurves:
+class LevelCurves(Record, eq=False):
     """Adiabatically tracked levels over a field sweep.
 
     energies has shape (n_fields, dim); column k follows one physical level
@@ -261,14 +254,20 @@ def eigensystem(h):
     A stack is diagonalized in one call and gives values (n, d) and vectors
     (n, d, d), each slice equal to the single-matrix result.  A real
     symmetric input stays real (float64 eigenvectors); any other is complex.
+    A non-finite entry is a ValueError.
     """
     h = np.asarray(h)
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
-    # h.conj() of a real h is h itself, not a copy
-    if h.size and np.max(np.abs(h - h.conj().swapaxes(-1, -2))) > 1e-8:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if h.size:
+        # h.conj() of a real h is h itself, not a copy; a nan or inf entry
+        # makes the deviation nan or inf, so the one pass checks finiteness too
+        with np.errstate(invalid="ignore", over="ignore"):
+            deviation = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))
+        if not deviation <= 1e-8:
+            raise ValueError("matrix is not Hermitian within tolerance" if np.isfinite(h).all()
+                             else "matrix has non-finite entries")
     vals, vecs = np.linalg.eigh(h)
     return EigenSystem(vals, vecs)
 

@@ -7,7 +7,9 @@ typos fail loudly instead of silently falling back to defaults.
 
 This module holds the config schema, `config dump`, `budget` and the argument
 parser, and imports no numpy: those two commands run on `scalars`.  The array
-commands are in `sweep_io`, imported when one of them runs.
+commands are in `sweep_io`, imported when one of them runs.  `main(argv)`
+runs one command in process and returns its exit code; `run()`, the process
+entry, exits with it without tearing the interpreter down.
 
 Exit codes: 0 success, 2 configuration error, 3 fit failure or
 non-convergence, 4 input/output or data-format error.
@@ -16,9 +18,10 @@ non-convergence, 4 input/output or data-format error.
 import argparse
 import configparser
 import functools
+import gc
 import math
+import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import scalars
 from .scalars import ConfigError, CsvError  # the errors main maps to exit codes
@@ -41,13 +44,34 @@ def _miller(raw):
     return triple
 
 
-def _key(default=MISSING, parse=float, lo=None, hi=None):
+_REQUIRED = object()
+
+
+class _Key(dict):
+    """The parser and bounds of a config key, and its default (see _Section)."""
+
+
+def _key(default=_REQUIRED, parse=float, lo=None, hi=None):
     """A config key: the field name is the INI key; no default means required."""
-    return field(default=default, metadata={"parse": parse, "lo": lo, "hi": hi})
+    return _Key(default=default, parse=parse, lo=lo, hi=hi)
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class _Section(scalars.Record):
+    """A config section.  Each `_key` class attribute moves into the class's
+    `_schema` (field name: parser and bounds), and its default, if it has one,
+    stays in its place as the field's default."""
+
+    def __init_subclass__(cls):
+        cls._schema = {name: key for name, key in vars(cls).items() if isinstance(key, _Key)}
+        for name, key in cls._schema.items():
+            delattr(cls, name)
+            if key["default"] is not _REQUIRED:
+                setattr(cls, name, key["default"])
+            del key["default"]
+        super().__init_subclass__()
+
+
+class SampleConfig(_Section):
     defect: str = _key(parse=str.upper)
     density_ppm: float = _key(lo=0.0)
     volume_mm3: float = _key(scalars.SAMPLE1_VOLUME_MM3, lo=0.0)
@@ -61,8 +85,7 @@ class SampleConfig:
     initial_levels: tuple = _key((0,), parse=_indices)
 
 
-@dataclass(frozen=True)
-class ResonatorConfig:
+class ResonatorConfig(_Section):
     omega_r_mhz: float | None = _key(None, lo=1e-9)
     q_int: float = _key(scalars.Q_INT, lo=1e-9)
     q_ext1: float = _key(2.0 * scalars.Q_EXT_MIN, lo=1e-9)
@@ -78,8 +101,7 @@ class ResonatorConfig:
     circuit: scalars.CircuitElements | None = None  # built from the circuit keys
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Section):
     b_min_mt: float = _key(60.0)
     b_max_mt: float = _key(90.0)
     b_points: int = _key(61, parse=int, lo=2)
@@ -89,8 +111,7 @@ class SweepConfig:
     seed: int = _key(0, parse=int, lo=0)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(scalars.Record):
     sample: SampleConfig | None
     resonator: ResonatorConfig | None
     sweep: SweepConfig
@@ -100,10 +121,6 @@ class ExperimentConfig:
 _CIRCUIT_KEYS = ("l_nh", "c_pf", "r_ohm", "cc1_ff", "cc2_ff", "cx_ff", "z0_ohm")
 _SECTIONS = {"sample": SampleConfig, "resonator": ResonatorConfig, "sweep": SweepConfig}
 _NOUNS = {float: "a number", int: "an integer"}  # parse errors of the built-in parsers
-
-
-def _schema(cls):
-    return [f for f in fields(cls) if "parse" in f.metadata]
 
 
 def _value(section, key, raw, parse=float, lo=None, hi=None):
@@ -121,18 +138,17 @@ def _value(section, key, raw, parse=float, lo=None, hi=None):
 
 
 def _parse_section(section, items):
-    """Keyword arguments of the section's dataclass from its INI items."""
-    schema = _schema(_SECTIONS[section])
-    allowed = {f.name for f in schema}
+    """Keyword arguments of the section's record from its INI items."""
+    cls = _SECTIONS[section]
     for key in items:
-        if key not in allowed:
+        if key not in cls._schema:
             raise ConfigError(f"unknown key '{key}' in section [{section}]")
     values = {}
-    for f in schema:
-        if f.name in items:
-            values[f.name] = _value(section, f.name, items[f.name], **f.metadata)
-        elif f.default is MISSING:
-            raise ConfigError(f"missing required key '{f.name}' in section [{section}]")
+    for name, spec in cls._schema.items():
+        if name in items:
+            values[name] = _value(section, name, items[name], **spec)
+        elif name not in cls._defaults:
+            raise ConfigError(f"missing required key '{name}' in section [{section}]")
     return values
 
 
@@ -149,14 +165,14 @@ def _parse_circuit(values):
             "missing required circuit key(s) " + ", ".join(f"'{k}'" for k in missing)
             + " in section [resonator] (circuit mode)"
         )
-    for key, f in zip(_CIRCUIT_KEYS, fields(scalars.CircuitElements)):
-        values.setdefault(key, f.default)
+    for key, name in zip(_CIRCUIT_KEYS[5:], scalars.CircuitElements._fields[5:]):
+        values.setdefault(key, getattr(scalars.CircuitElements, name))
     try:
         circuit = scalars.CircuitElements(*(values[k] for k in _CIRCUIT_KEYS))
     except ValueError as exc:
         raise ConfigError(f"invalid circuit elements in [resonator]: {exc}")
     try:  # extreme elements over- or underflow the closed-form resonance
-        f0, *qs = scalars.q_decomposition(replace(circuit, cx=0.0))
+        f0, *qs = scalars.q_decomposition(circuit.replace(cx=0.0))
     except ZeroDivisionError:
         f0, qs = math.inf, ()
     if not 0.0 < f0 < math.inf:
@@ -223,10 +239,10 @@ def dump_config(cfg):
         if part is None:
             continue
         lines.append(f"[{section}]")
-        for f in _schema(type(part)):
-            v = getattr(part, f.name)
+        for name in part._schema:
+            v = getattr(part, name)
             if v is not None:
-                lines.append(f"{f.name} = {_text(v)}")
+                lines.append(f"{name} = {_text(v)}")
         lines.append("")
     return "\n".join(lines)
 
@@ -399,8 +415,23 @@ def main(argv=None):
         return 4
 
 
+def run(argv=None):
+    """The process entry of `spincavity` and `python -m spincavity.sweep_cli`.
+
+    It runs main with the cyclic garbage collector off, and when main returns
+    it flushes stdout and stderr and ends the process with main's exit code,
+    skipping the interpreter's teardown.  A SystemExit from argparse, or an
+    error main does not handle, leaves through the interpreter as usual.
+    """
+    gc.disable()
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
     # under -m, sweep_io's helper import finds this module instead of running
     # it a second time
     sys.modules.setdefault(__spec__.name, sys.modules[__name__])
-    sys.exit(main())
+    run()

@@ -419,6 +419,20 @@ def test_eigensystem_rejects_bad_stacks():
         sm.eigensystem(np.zeros((2, 2, 3, 3)))
 
 
+@pytest.mark.parametrize("h", [
+    [[1.0, np.nan], [0.0, 2.0]],  # nan - 0 compares false against any tolerance
+    [[1.0, np.inf], [np.inf, 2.0]],  # inf - inf is nan
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, np.inf], [0.0, 2.0]],
+    [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 2.0]],
+    np.stack([np.eye(3), np.diag([1.0, -np.inf, 2.0]), np.eye(3)]),
+], ids=["nan-upper", "inf-pair", "nan-diagonal", "inf-upper", "complex-inf-pair", "stack"])
+def test_eigensystem_rejects_non_finite_input(h):
+    # every warning fails a test, so this also checks that none is raised
+    with pytest.raises(ValueError, match="non-finite"):
+        sm.eigensystem(h)
+
+
 def _cubic_hermitian_eigs(h):
     """Closed-form eigenvalues of a 3x3 Hermitian matrix (trigonometric cubic)."""
     m = np.trace(h).real / 3.0

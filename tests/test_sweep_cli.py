@@ -51,6 +51,9 @@ omega_max_mhz = 5435.0
 omega_points = 451
 """
 
+NV_NO_REPULSION = NV_MAP.replace("density_ppm = 10", "density_ppm = 0").replace(
+    "g_ens_mhz = 11.5", "")
+
 P1_COARSE = (ROOT / "configs" / "p1_20ppm_b001.ini").read_text().replace(
     "b_min_mt = 186.0", "b_min_mt = 0.5").replace(
     "b_max_mt = 199.0", "b_max_mt = 300").replace("b_points = 105", "b_points = 3")
@@ -1129,13 +1132,15 @@ def test_map_from_circuit_with_crosstalk_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def run_python(*args):
-    """A fresh interpreter with the package's source on its path."""
+def run_python(*args, text=True):
+    """A fresh interpreter with the package's source on its path, and stdout
+    and stderr buffered as they are by default."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     ))
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=text, timeout=120)
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -1190,7 +1195,9 @@ def run_cli_fresh(*argv):
 def test_scalar_commands_run_without_numpy(capsys, argv):
     proc, imported, errors = run_cli_fresh(*argv)
     assert (proc.returncode, errors) == (0, [])
-    assert "numpy" not in imported and "spincavity" in imported
+    assert "spincavity" in imported
+    # records are built without dataclasses, which would load inspect
+    assert not imported & {"numpy", "dataclasses", "inspect"}
     assert cli.main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
 
@@ -1199,12 +1206,34 @@ def test_help_and_config_errors_run_without_numpy(tmp_path):
     proc, imported, errors = run_cli_fresh("--help")
     assert (proc.returncode, errors) == (0, [])
     assert proc.stdout.startswith("usage: spincavity ")
-    assert "numpy" not in imported
+    assert not imported & {"numpy", "dataclasses", "inspect"}
     cfgp = write(tmp_path, "bad.ini", NV_MAP.replace("density_ppm = 10", "density_ppm = nan"))
     proc, imported, errors = run_cli_fresh("budget", "--config", cfgp)
     assert proc.returncode == 2
     assert errors == ["config error: key 'density_ppm' in [sample] is not finite: 'nan'"]
-    assert "numpy" not in imported
+    assert not imported & {"numpy", "dataclasses", "inspect"}
+
+
+def test_no_package_module_imports_dataclasses():
+    proc = run_python("-c", "import importlib, sys, spincavity\n"
+                      "for name in ['scalars', 'sweep_io', *spincavity.__all__]:\n"
+                      "    importlib.import_module('spincavity.' + name)\n"
+                      "print(len([m for m in sys.modules if m.startswith('spincavity.')]), "
+                      "'dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "8 False\n"
+
+
+def test_fits_load_no_numpy_ma(tmp_path):
+    # numpy.ma is loaded by np.median; the fits take their medians from a partition
+    cfgp = write(tmp_path, "cfg.ini", NV_MAP)
+    out = tmp_path / "map.csv"
+    assert cli.main(["map", "--config", cfgp, "--out", str(out)]) == 0
+    for argv in (["fit"], ["fit", "--in", str(out)]):
+        proc, imported, errors = run_cli_fresh(*argv, "--config", cfgp)
+        assert (proc.returncode, errors) == (0, [])
+        assert proc.stdout.startswith("# avoided-crossing fit")
+        assert "numpy" in imported and "numpy.ma" not in imported
 
 
 @pytest.mark.parametrize("argv, text, code, reason", [
@@ -1213,8 +1242,7 @@ def test_help_and_config_errors_run_without_numpy(tmp_path):
     (["fit", "--in", "{tmp}/missing.csv"], NV_MAP, 4, "data error: cannot read "
      "{tmp}/missing.csv: [Errno 2] No such file or directory: '{tmp}/missing.csv'"),
     (["levels"], P1_COARSE, 2, f"config error: {COARSE_REASON}"),
-    (["fit"], NV_MAP.replace("density_ppm = 10", "density_ppm = 0").replace("g_ens_mhz = 11.5", ""),
-     3, None),
+    (["fit"], NV_NO_REPULSION, 3, None),
 ], ids=["noise-with-in", "missing-in", "coarse-grid", "fit-error"])
 def test_array_command_errors_keep_their_exit_codes_under_m(tmp_path, argv, text, code, reason):
     # the errors are raised in sweep_io and mapped by sweep_cli running as
@@ -1227,6 +1255,54 @@ def test_array_command_errors_keep_their_exit_codes_under_m(tmp_path, argv, text
     else:
         assert errors == [reason.format(tmp=tmp_path)]
     assert "numpy" in imported and "spincavity.sweep_cli" not in imported
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    (["map"], NV_MAP, 0),  # about 1 MB to stdout, through a pipe
+    (["map", "--out", "{out}"], NV_MAP, 0),
+    (["fit"], NV_MAP, 0),
+    (["fit"], NV_NO_REPULSION, 3),
+    (["map"], NV_MAP.replace("b_points = 57", "b_points = 1"), 2),
+    (["fit", "--in", "{tmp}/bad.csv"], NV_MAP, 4),
+    (["levels", "--bogus"], NV_MAP, 2),  # argparse's SystemExit
+], ids=["map-stdout", "map-out", "fit", "fit-error", "config-error", "bad-csv", "usage"])
+def test_process_entry_matches_main(tmp_path, capsys, argv, text, code):
+    # the process entry ends without interpreter teardown: nothing it wrote may be lost
+    cfgp = write(tmp_path, "cfg.ini", text)
+    write(tmp_path, "bad.csv", "B_mT,f_MHz,S21_mag,S21_arg\n73.0,5390.0,half,0\n")
+
+    def command(out):
+        return [a.format(out=tmp_path / out, tmp=tmp_path) for a in argv] + ["--config", cfgp]
+
+    proc = run_python("-m", "spincavity.sweep_cli", *command("entry.csv"), text=False)
+    try:
+        returned = cli.main(command("main.csv"))
+    except SystemExit as exc:
+        returned = exc.code
+    out, err = capsys.readouterr()
+    assert proc.returncode == returned == code
+    assert proc.stdout == out.encode()
+    assert proc.stderr.decode().splitlines()[-1:] == err.splitlines()[-1:]
+    assert (code == 0) == (err == "")
+    if "{out}" in argv:
+        assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+    if argv == ["map"] and code == 0:
+        assert len(proc.stdout) > 900_000
+
+
+def test_installed_script_runs_the_process_entry(tmp_path):
+    text = (ROOT / "pyproject.toml").read_text()
+    assert '\nspincavity = "spincavity.sweep_cli:run"\n' in text
+    # a console script calls sys.exit(run()); run ends the process itself
+    cfgp = write(tmp_path, "cfg.ini", NV_NO_REPULSION)
+    script = "import sys; from spincavity.sweep_cli import run; sys.exit(run())"
+    proc = run_python("-c", script, "fit", "--config", cfgp)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("fit error: ") and proc.stderr.count("\n") == 1
+    proc = run_python("-c", script, "budget", "--config",
+                      str(ROOT / "configs" / "p1_20ppm_b001.ini"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1].startswith("g_ens_mhz = ")
 
 
 def test_config_dump_cli(tmp_path, capsys):
