@@ -73,8 +73,7 @@ class Record:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs):
-        cls = type(self)
-        values = dict(zip(cls._fields, args))
+        cls, values = type(self), dict(zip(self._fields, args))
         wrong = [name for name in kwargs if name in values or name not in cls._fields]
         if wrong or len(args) > len(cls._fields):
             raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, each once; "

@@ -420,12 +420,19 @@ def run(argv=None):
 
     It runs main with the cyclic garbage collector off, and when main returns
     it flushes stdout and stderr and ends the process with main's exit code,
-    skipping the interpreter's teardown.  A SystemExit from argparse, or an
-    error main does not handle, leaves through the interpreter as usual.
+    skipping the interpreter's teardown.  After a success, output that
+    stdout does not take at the flush (a closed pipe, a full disk) is an i/o
+    error, exit 4, as in main.  A SystemExit from argparse, or an error main
+    does not handle, leaves through the interpreter as usual.
     """
     gc.disable()
     code = main(argv)
-    sys.stdout.flush()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:  # a failed command has already given its reason
+            sys.stderr.write(f"i/o error: {exc}\n")
+            code = 4
     sys.stderr.flush()
     os._exit(code)
 

@@ -1290,6 +1290,22 @@ def test_process_entry_matches_main(tmp_path, capsys, argv, text, code):
         assert len(proc.stdout) > 900_000
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["budget"], ["map"]], ids=["at-exit-flush", "in-main"])
+def test_output_stdout_does_not_take_is_an_io_error(tmp_path, argv):
+    # writing to /dev/full fails with ENOSPC: budget's few lines wait in the
+    # buffer until the process entry flushes it, map's megabyte fails in main
+    cfgp = write(tmp_path, "cfg.ini", NV_MAP)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "spincavity.sweep_cli", *argv, "--config", cfgp],
+                              cwd=ROOT, env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr == "i/o error: [Errno 28] No space left on device\n"
+
+
 def test_installed_script_runs_the_process_entry(tmp_path):
     text = (ROOT / "pyproject.toml").read_text()
     assert '\nspincavity = "spincavity.sweep_cli:run"\n' in text
