@@ -23,7 +23,8 @@ import sys
 import tempfile
 import time
 
-NV, P1, LOOP_GAP = "configs/nv_10ppm_b110.ini", "configs/p1_20ppm_b001.ini", "configs/loop_gap.ini"
+NV, P1 = "configs/nv_10ppm_b110.ini", "configs/p1_20ppm_b001.ini"
+LOOP_GAP = "configs/loop_gap.ini"
 # (command, config label, numpy loaded, argv); {out} is a file in the temporary directory
 COMMANDS = [
     ("config dump", "NV", "no", ["config", "dump", "--config", NV]),
@@ -55,7 +56,7 @@ def cold_run(checkout, argv, scratch):
 def time_commands(checkouts, runs, scratch):
     """{side: [wall times per command]} over `runs` alternating rounds."""
     walls = {side: [[] for _ in COMMANDS] for side in checkouts}
-    for side, checkout in checkouts.items():
+    for checkout in checkouts.values():
         for *_, argv in COMMANDS:
             cold_run(checkout, argv, scratch)
     for k in range(runs):
