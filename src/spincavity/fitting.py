@@ -119,35 +119,39 @@ def lorentzian_model(omega, center, fwhm, amplitude, baseline):
     return _lorentzian(omega, center, fwhm, amplitude, baseline)[0]
 
 
-def _fano(omega, center, width, q_asym, amplitude, baseline):
-    """The Fano profile's values and a function building its Jacobian from them."""
+def _fano(omega, center, width, theta, amplitude, baseline):
+    """The Fano profile's values and a function building its Jacobian from them.
+
+    The asymmetry is the angle theta, with q = cot(theta): the shape
+    (cos(theta) hw + sin(theta) u)^2 / (u^2 + hw^2) is bounded and smooth in
+    theta, the Lorentzian at theta = 0 and the antiresonance at pi / 2.
+    """
     hw = 0.5 * width
     u = omega - center
     den = u**2 + hw**2
-    top = q_asym * hw + u
-    top2 = top**2
-    norm = 1 + q_asym**2
-    norm_den = norm * den
+    cos, sin = np.cos(theta), np.sin(theta)
+    top = cos * hw + sin * u
+    shape = top**2 / den
 
     def jacobian():
-        # the centre, width and q columns share top (hw - q u) / den^2; no
-        # intermediate scales worse than q^2, so large-q iterations stay finite
-        scale = amplitude / norm
-        common = top * (hw - q_asym * u) / den**2
+        k = 2.0 * amplitude * top / den
         jac = np.empty((5, omega.size))
-        jac[0] = (-2.0 * scale * hw) * common
-        jac[1] = -scale * u * common
-        jac[2] = (2.0 * scale / norm) * den * common
-        jac[3] = top2 / norm_den
+        jac[0] = k * (u * top / den - sin)
+        jac[1] = 0.5 * k * (cos - hw * top / den)
+        jac[2] = k * (cos * u - sin * hw)
+        jac[3] = shape
         jac[4] = 1.0
         return jac.T
 
-    return baseline + amplitude * top2 / norm_den, jacobian
+    return baseline + amplitude * shape, jacobian
 
 
 def fano_model(omega, center, width, q_asym, amplitude, baseline):
-    """Fano profile normalized so the amplitude stays finite as q grows."""
-    return _fano(omega, center, width, q_asym, amplitude, baseline)[0]
+    """Fano profile normalized so the amplitude stays finite as q grows:
+    amplitude (q hw + u)^2 / ((1 + q^2)(u^2 + hw^2)) + baseline, with
+    u = omega - center and hw = width / 2.  q = 0 is the antiresonance and
+    q = +-inf the Lorentzian."""
+    return _fano(omega, center, width, np.arctan2(1.0, q_asym), amplitude, baseline)[0]
 
 
 def _median(x):
@@ -202,10 +206,11 @@ def fit_lorentzian(spec):
 
 
 def fit_fano(spec):
-    """Fit an asymmetric (Fano) resonance; large |q_asym| recovers a Lorentzian.
+    """Fit an asymmetric (Fano) resonance, starting from the Lorentzian.
 
-    Two deterministic starts with opposite asymmetry sign; the lower residual
-    wins, ties go to the positive start.
+    One LM run in the angle theta = arccot(q_asym) from theta = 0 and the
+    peak guess.  q_asym is reported as cot(theta): inf when theta stays
+    exactly 0, and large |q_asym| for a nearly symmetric line.
     """
     _check_peak(spec)
     c0, w0, a0, b0 = _peak_guess(spec)
@@ -215,17 +220,11 @@ def fit_fano(spec):
         value, jacobian = _fano(w, *p)
         return value - m, jacobian
 
-    best = None
-    for q0 in (2.0, -2.0):
-        p0 = np.array([c0, w0, q0, a0, b0])
-        p, rms, ok, it = _levmar(evaluate, p0)
-        if best is None or rms < best[1] - 1e-15:
-            best = (p, rms, ok, it)
-    p, rms, ok, it = best
+    p, rms, ok, it = _levmar(evaluate, np.array([c0, w0, 0.0, a0, b0]))
     params = {
         "center": p[0],
         "width": abs(p[1]),
-        "q_asym": p[2],
+        "q_asym": np.cos(p[2]) / np.sin(p[2]) if p[2] != 0.0 else np.inf,
         "amplitude": p[3],
         "baseline": p[4],
     }

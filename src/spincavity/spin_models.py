@@ -136,8 +136,6 @@ def rotation_to_z(axis):
     axis = _unit_vector(axis, "axis")
     zhat = np.array([0.0, 0.0, 1.0])
     c = float(axis @ zhat)
-    if c > 1.0 - 1e-12:
-        return np.eye(3)
     if c < -1.0 + 1e-12:
         return np.diag([1.0, -1.0, -1.0])
     v = np.cross(axis, zhat)

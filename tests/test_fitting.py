@@ -210,6 +210,28 @@ def test_fano_model_antiresonance_at_zero_q():
     assert np.isclose(mag.min(), 0.3, atol=1e-4)
 
 
+def test_fano_model_limits_are_the_antiresonance_and_the_lorentzian():
+    grid = np.linspace(CENTER - 40, CENTER + 40, 801)
+    u2, hw2 = (grid - CENTER) ** 2, (0.5 * FWHM) ** 2
+    np.testing.assert_allclose(ft.fano_model(grid, CENTER, FWHM, 0.0, AMP, BASE),
+                               AMP * u2 / (u2 + hw2) + BASE, rtol=1e-14)
+    for q in (np.inf, -np.inf):
+        np.testing.assert_allclose(ft.fano_model(grid, CENTER, FWHM, q, AMP, BASE),
+                                   ft.lorentzian_model(grid, CENTER, FWHM, AMP, BASE), rtol=1e-14)
+
+
+def test_fano_fits_the_capacitance_sweep_from_one_start():
+    # the |S21|^2 traces of scripts/resonator_q_sweep.py, which cross-talk-free
+    # circuits make almost Lorentzian: the fit starts there and needs few steps
+    ccs = np.linspace(ex.cc_for_qext(ex.Q_EXT_MAX), ex.cc_for_qext(ex.Q_EXT_MIN), 9)
+    for cc in ccs:
+        grid, s21 = ex.loop_gap_trace(ex.loop_gap_elements(cc))
+        spec = ft.Spectrum1D(grid, np.abs(s21) ** 2)
+        res = ft.fit_fano(spec)
+        assert res.converged and res.iterations <= 6, (cc, res.iterations)
+        assert res.residual_rms <= ft.fit_lorentzian(spec).residual_rms
+
+
 def test_fano_negative_asymmetry_round_trip():
     grid = np.linspace(CENTER - 40, CENTER + 40, 801)
     mag = ft.fano_model(grid, CENTER, FWHM, -1.7, AMP, BASE)
@@ -450,16 +472,45 @@ def test_lorentzian_jacobian_matches_central_differences(center, fwhm, amplitude
 @given(
     center=st.floats(5370.0, 5410.0),
     width=st.floats(1.0, 30.0),
+    theta=st.floats(-np.pi / 2, np.pi / 2),
+    amplitude=st.floats(0.01, 2.0),
+    baseline=st.floats(0.0, 0.1),
+)
+@example(center=5390.0, width=4.9, theta=0.0, amplitude=0.6, baseline=0.02)  # the Lorentzian
+@example(center=5390.0, width=4.9, theta=np.pi / 2, amplitude=0.6, baseline=0.02)  # q = 0
+def test_fano_jacobian_matches_central_differences(center, width, theta, amplitude, baseline):
+    p = (center, width, theta, amplitude, baseline)
+    q = np.cos(theta) / np.sin(theta) if theta else np.inf  # as fit_fano reports it
+    assert np.array_equal(
+        ft.fano_model(TRACE_GRID, center, width, q, amplitude, baseline),
+        ft._fano(TRACE_GRID, center, width, np.arctan2(1, q), amplitude, baseline)[0],
+    )
+    assert_jacobian_matches(ft._fano(TRACE_GRID, *p)[1],
+                            lambda r: ft._fano(TRACE_GRID, *r)[0], p, 1e-7, 1e-5)
+
+
+def normalised_q_fano(omega, center, width, q_asym, amplitude, baseline):
+    """The Fano profile in its normalised q form, the oracle of fano_model."""
+    hw = 0.5 * width
+    u = omega - center
+    return baseline + amplitude * (q_asym * hw + u) ** 2 / ((1 + q_asym**2) * (u**2 + hw**2))
+
+
+@seed(20180402)
+@JACOBIAN_CHECK
+@given(
+    center=st.floats(5370.0, 5410.0),
+    width=st.floats(1.0, 30.0),
     q_asym=st.floats(-1000.0, 1000.0),
     amplitude=st.floats(0.01, 2.0),
     baseline=st.floats(0.0, 0.1),
 )
-@example(center=5390.0, width=4.9, q_asym=0.0, amplitude=0.6, baseline=0.02)
-def test_fano_jacobian_matches_central_differences(center, width, q_asym, amplitude, baseline):
+@example(center=5390.0, width=4.9, q_asym=0.0, amplitude=0.6, baseline=0.0)
+def test_fano_model_matches_the_normalised_q_form(center, width, q_asym, amplitude, baseline):
+    # relative to the amplitude where the profile touches a zero baseline
     p = (center, width, q_asym, amplitude, baseline)
-    value, jacobian = ft._fano(TRACE_GRID, *p)
-    assert np.array_equal(value, ft.fano_model(TRACE_GRID, *p))
-    assert_jacobian_matches(jacobian, lambda q: ft._fano(TRACE_GRID, *q)[0], p, 1e-7, 1e-5)
+    np.testing.assert_allclose(ft.fano_model(TRACE_GRID, *p), normalised_q_fano(TRACE_GRID, *p),
+                               rtol=1e-12, atol=1e-12 * amplitude)
 
 
 @seed(20180402)

@@ -132,9 +132,17 @@ def test_rotation_to_z_is_proper(raw):
     r = sm.rotation_to_z(v)
     assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
     assert np.isclose(np.linalg.det(r), 1.0, atol=1e-12)
-    # axes within ~1.4e-6 rad of +-z snap to the closed-form branch, which
+    # axes within ~1.4e-6 rad of -z snap to the closed-form branch, which
     # bounds the alignment residual by that angle rather than roundoff
     assert np.allclose(r @ v, [0, 0, 1], atol=2e-6)
+
+
+def test_rotation_to_z_turns_an_axis_just_off_plus_z():
+    # the general branch keeps the small rotation that the identity would drop
+    axis = np.array([np.sin(1e-13), 0.0, np.cos(1e-13)])
+    r = sm.rotation_to_z(axis)
+    assert np.allclose(r @ r.T, np.eye(3), rtol=0, atol=1e-15)
+    assert np.allclose(r @ axis, [0, 0, 1], rtol=0, atol=1e-15)
 
 
 def test_rotation_rejects_non_unit():
@@ -752,7 +760,8 @@ def _jz(s):
 def test_level_curve_field_frame_matches_the_defect_frame(model, axis, direction, start, step, n):
     """Energies and vectors of the real field-frame stack against the
     builder's own stack: along the axis (b_perp = 0), through zero and at
-    negative fields, with axis +z and -z (both special cases of rotation_to_z)."""
+    negative fields, with axis +z (where rotation_to_z is the identity) and -z
+    (its special case)."""
     if isinstance(direction, str):
         direction = axis if direction == "axis" else -axis
     grid = start + step * np.arange(n)

@@ -4,6 +4,7 @@ Every end-to-end case goes through main(argv) exactly as the installed
 entry point would, with configs and data written to tmp_path.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -227,6 +228,88 @@ def test_config_errors_exit_2_with_one_line_reason(tmp_path, capsys, command, te
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {reason}\n"
+
+
+def _bounds():
+    """(section, key, bound, just outside, "lo" or "hi") of every bounded
+    config key, read from the section records' schemas."""
+    cases = []
+    for section, cls in cli._SECTIONS.items():
+        for name, spec in cls._schema.items():
+            for side, step in (("lo", -1), ("hi", 1)):
+                v = spec[side]
+                if v is not None:
+                    out = v + step if spec["parse"] is int else math.nextafter(v, step * math.inf)
+                    cases.append((section, name, v, out, side))
+    return cases
+
+
+# The tests below take their cases from the schemas, so a bound moved in a
+# schema moves their cases with it; this text pins every bound, as the dump
+# tests above pin every default.
+BOUNDS = """\
+[sample] density_ppm >= 0.0
+[sample] volume_mm3 >= 0.0
+[sample] linewidth_mhz >= 1e-09
+[sample] orientation_fraction >= 0.0
+[sample] orientation_fraction <= 1.0
+[sample] nuclear_fraction >= 0.0
+[sample] nuclear_fraction <= 1.0
+[sample] filling_factor >= 0.0
+[sample] filling_factor <= 1.0
+[sample] transition_weight >= 0.0
+[sample] g_ens_mhz >= 0.0
+[resonator] omega_r_mhz >= 1e-09
+[resonator] q_int >= 1e-09
+[resonator] q_ext1 >= 1e-09
+[resonator] q_ext2 >= 1e-09
+[resonator] mode_volume_mm3 >= 1e-12
+[sweep] b_points >= 2
+[sweep] omega_points >= 2
+[sweep] seed >= 0
+"""
+
+
+def test_schema_bounds_are_pinned():
+    assert "".join(f"[{section}] {key} {'>=' if side == 'lo' else '<='} {v}\n"
+                   for section, key, v, _, side in _bounds()) == BOUNDS
+
+
+def _config_with(section, **keys):
+    """NV_MINIMAL with every section present and `keys` set in `section`."""
+    sections = {"sample": {"defect": "NV", "density_ppm": 10}, "resonator": {}, "sweep": {}}
+    sections[section].update(keys)
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()) + "\n"
+                   for name, body in sections.items())
+
+
+@pytest.mark.parametrize("section, key, bound, outside", [
+    pytest.param(*case[:4], id=f"{case[0]}.{case[1]}.{case[4]}") for case in _bounds()
+])
+def test_every_bound_is_inclusive_and_the_next_value_out_exits_2(
+    tmp_path, capsys, section, key, bound, outside
+):
+    # no cross-key check of parse_config rejects a value at a bound: each
+    # dumps back as given
+    cfgp = write(tmp_path, "at.ini", _config_with(section, **{key: bound}))
+    assert cli.main(["config", "dump", "--config", cfgp]) == 0
+    assert f"{key} = {bound}" in capsys.readouterr().out.splitlines()
+    cfgp = write(tmp_path, "out.ini", _config_with(section, **{key: outside}))
+    assert cli.main(["config", "dump", "--config", cfgp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: key '{key}' in [{section}] out of range: ")
+
+
+@pytest.mark.parametrize("low", [k for k in cli.SweepConfig._schema if "_min_" in k])
+def test_equal_sweep_limits_exit_2(tmp_path, capsys, low):
+    high = low.replace("_min_", "_max_")
+    value = cli.SweepConfig._defaults[low]
+    cfgp = write(tmp_path, "cfg.ini", _config_with("sweep", **{low: value, high: value}))
+    assert cli.main(["config", "dump", "--config", cfgp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {low} must be smaller than {high}")
 
 
 @pytest.mark.parametrize("command", ["map", "fit"])
@@ -499,6 +582,16 @@ def test_fit_lorentzian_from_ideal_trace(tmp_path, capsys):
     assert abs(float(got["q_loaded"]) - q_l) / q_l < 0.01
     assert abs(float(got["q_ext"]) - q_ext) / q_ext < 0.01
     assert abs(float(got["q_int"]) - q_int) / q_int < 0.01
+
+
+def test_fit_fano_of_a_symmetric_trace_reports_a_large_q(tmp_path, capsys):
+    grid, mag = ex.lorentzian_q_trace(5390.0, 1300.0, 3500.0)
+    rows = ["f_MHz,S21_mag"] + [f"{f:.10g},{m:.10g}" for f, m in zip(grid, mag)]
+    trace = write(tmp_path, "trace.csv", "\n".join(rows) + "\n")
+    cfgp = write(tmp_path, "cfg.ini", NV_MAP)
+    assert cli.main(["fit", "--config", cfgp, "--kind", "fano", "--in", trace]) == 0
+    q_asym = float(parse_report(capsys.readouterr().out)["q_asym"])  # "inf" when theta is 0
+    assert abs(q_asym) > 50.0
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6))
