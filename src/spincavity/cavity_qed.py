@@ -9,9 +9,8 @@ mode.
 import numpy as np
 
 # the budget's scalar pieces and the record base, defined in the numpy-free scalars
-from .scalars import (CARBON_SITES_PER_MM3, LATTICE_A_MM, MU_0, PLANCK_H, EnsembleSpec,
-                      Record, ResonatorMode, effective_spin_count, ensemble_coupling,
-                      single_spin_coupling, vacuum_brms)
+from .scalars import (CARBON_SITES_PER_MM3, MU_0, PLANCK_H, EnsembleSpec, Record, ResonatorMode,
+                      effective_spin_count, ensemble_coupling, single_spin_coupling, vacuum_brms)
 
 
 class SpinLine(Record):

@@ -1,20 +1,18 @@
 """Canonical experiment setups wired from the physics modules.
 
 These are the concrete sample and resonator configurations the command-line
-tool, the example scripts, and the acceptance suite all share: the NV sample
-probed with the field along [110] (only the two non-orthogonal bond
-orientations tune through the cavity), the P1 triple anticrossing with the
-field along [001] (all four bonds equivalent), the coupling budget, and a
-loop-gap element set matching the measured quality factors.
+tool and the acceptance suite share: the NV sample probed with the field
+along [110] (only the two non-orthogonal bond orientations tune through the
+cavity), the P1 triple anticrossing with the field along [001] (all four
+bonds equivalent), the coupling budget, and a loop-gap element set matching
+the measured quality factors.
 """
 
 import numpy as np
 
 from . import cavity_qed, circuit_model, fitting, spin_models
 # the scalar setup, defined in the numpy-free scalars
-from .scalars import (DEFAULT_TRANSITION_WEIGHT, MODE_VOLUME_MM3, OMEGA_R_MHZ, Q_EXT_MIN, Q_INT,
-                      SAMPLE1_NV_PPM, SAMPLE1_P1_PPM, SAMPLE1_VOLUME_MM3, coupling_budget,
-                      resonator_mode)
+from .scalars import OMEGA_R_MHZ, Q_EXT_MIN, SAMPLE1_VOLUME_MM3, coupling_budget, resonator_mode
 
 Q_EXT_MAX = 85000.0
 

@@ -187,20 +187,25 @@ def _peak_guess(spec):
     return float(w[i0]), fwhm, amp, base
 
 
+def _fit_peak(spec, model, start):
+    """LM fit of the kernel `model` to a peaked spectrum, from the parameters
+    that start(center, fwhm, amplitude, baseline) makes of the peak guess."""
+    _check_peak(spec)
+    w, m = spec.omega, spec.magnitude
+
+    def evaluate(p):
+        value, jacobian = model(w, *p)
+        return value - m, jacobian
+
+    return _levmar(evaluate, np.array(start(*_peak_guess(spec))))
+
+
 def fit_lorentzian(spec):
     """Fit magnitude vs frequency to a Lorentzian peak on a flat baseline.
 
     :returns: FitResult with params center, fwhm, amplitude, baseline
     """
-    _check_peak(spec)
-    p0 = np.array(_peak_guess(spec))
-    w, m = spec.omega, spec.magnitude
-
-    def evaluate(p):
-        value, jacobian = _lorentzian(w, *p)
-        return value - m, jacobian
-
-    p, rms, ok, it = _levmar(evaluate, p0)
+    p, rms, ok, it = _fit_peak(spec, _lorentzian, lambda *guess: guess)
     params = {"center": p[0], "fwhm": abs(p[1]), "amplitude": p[2], "baseline": p[3]}
     return FitResult(params, rms, ok, it)
 
@@ -212,15 +217,7 @@ def fit_fano(spec):
     peak guess.  q_asym is reported as cot(theta): inf when theta stays
     exactly 0, and large |q_asym| for a nearly symmetric line.
     """
-    _check_peak(spec)
-    c0, w0, a0, b0 = _peak_guess(spec)
-    w, m = spec.omega, spec.magnitude
-
-    def evaluate(p):
-        value, jacobian = _fano(w, *p)
-        return value - m, jacobian
-
-    p, rms, ok, it = _levmar(evaluate, np.array([c0, w0, 0.0, a0, b0]))
+    p, rms, ok, it = _fit_peak(spec, _fano, lambda c, w, a, b: (c, w, 0.0, a, b))
     params = {
         "center": p[0],
         "width": abs(p[1]),

@@ -72,13 +72,6 @@ class EigenSystem(Record, eq=False):
     vectors: np.ndarray
 
 
-class TransitionLine(Record):
-    freq: float
-    weight: float
-    from_index: int
-    to_index: int
-
-
 class LevelCurves(Record, eq=False):
     """Adiabatically tracked levels over a field sweep.
 
@@ -279,10 +272,10 @@ def transition_spectrum(eig, initial_levels=(0,), weight_floor=1e-6):
     |E_f - E_i| so lines are non-negative regardless of which level lies
     higher; weight is the squared matrix element |<f|Sx|i>|^2.
 
-    A single eigensystem gives a list of TransitionLine.  A stack of n
-    (values (n, d)) gives the lines of every slice from one stacked product,
-    as the columns (slice index, freq, weight, from_index, to_index), ordered
-    by slice, then initial level, then final level.
+    The lines of every slice of a stack of n (values (n, d)) come from one
+    stacked product, as the columns (slice index, freq, weight, from_index,
+    to_index), ordered by slice, then initial level, then final level.  A
+    single eigensystem is a stack of one: its slice index is all 0.
     """
     values, vectors = np.asarray(eig.values), np.asarray(eig.vectors)
     dim = values.shape[-1]
@@ -303,10 +296,7 @@ def transition_spectrum(eig, initial_levels=(0,), weight_floor=1e-6):
     freqs = np.abs(stack_values[:, None, :] - stack_values[:, levels, None])
     keep = (weights >= weight_floor) & (np.arange(dim) != levels[:, None])
     index, k, final = np.nonzero(keep)
-    columns = index, freqs[keep], weights[keep], levels[k], final
-    if values.ndim > 1:
-        return columns
-    return [TransitionLine(*line) for line in zip(*(c.tolist() for c in columns[1:]))]
+    return index, freqs[keep], weights[keep], levels[k], final
 
 
 def bond_orientations():

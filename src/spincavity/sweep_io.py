@@ -268,7 +268,10 @@ def _walk(path, fh, width):
 
 
 def _read_csv(path, expected_header):
-    """The data rows as a float array, parsed as the file is read."""
+    """The data rows as a float array, parsed as the file is read.
+
+    A non-finite field or a negative S21_mag is a CsvError naming its line.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = _lines(fh)
@@ -296,15 +299,16 @@ def _read_csv(path, expected_header):
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise CsvError(f"{path}: line {_line_number(path, bad[0])}: non-finite field")
+    # both headers hold S21_mag; a negative one would enter a map's
+    # mag * exp(i arg) as a phase flip
+    negative = np.flatnonzero(data[:, expected_header.index("S21_mag")] < 0)
+    if negative.size:
+        raise CsvError(f"{path}: line {_line_number(path, negative[0])}: negative S21_mag")
     return data
 
 
 def _map_from_csv(path):
     data = _read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
-    # a negative magnitude would enter mag * exp(i arg) as a phase flip
-    negative = np.flatnonzero(data[:, 2] < 0)
-    if negative.size:
-        raise CsvError(f"{path}: line {_line_number(path, negative[0])}: negative S21_mag")
     b_vals = data[:, 0]
     b_axis, first_index = np.unique(b_vals, return_index=True)
     b_axis = b_vals[np.sort(first_index)]

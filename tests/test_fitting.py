@@ -221,8 +221,9 @@ def test_fano_model_limits_are_the_antiresonance_and_the_lorentzian():
 
 
 def test_fano_fits_the_capacitance_sweep_from_one_start():
-    # the |S21|^2 traces of scripts/resonator_q_sweep.py, which cross-talk-free
-    # circuits make almost Lorentzian: the fit starts there and needs few steps
+    # |S21|^2 traces over the whole Q_ext range, the power that criterion 5's cc
+    # sweep fits; cross-talk-free circuits make them almost Lorentzian, so the
+    # fit starts there and needs few steps
     ccs = np.linspace(ex.cc_for_qext(ex.Q_EXT_MAX), ex.cc_for_qext(ex.Q_EXT_MIN), 9)
     for cc in ccs:
         grid, s21 = ex.loop_gap_trace(ex.loop_gap_elements(cc))

@@ -61,8 +61,6 @@ CASES = [
          defaults={"gamma_e": 28.0, "hyperfine": HF_P1}, changed={"gamma_e": 28.0}),
     Case(spin_models.EigenSystem, {"values": np.zeros(2), "vectors": np.eye(2)},
          by_value=False),
-    Case(spin_models.TransitionLine, {"freq": 2870.0, "weight": 0.5, "from_index": 0,
-                                      "to_index": 1}, changed={"to_index": 2}),
     Case(spin_models.LevelCurves,
          {"b_mt": np.arange(3.0), "energies": np.zeros((3, 2)), "vectors": np.zeros((3, 2, 2))},
          by_value=False),
@@ -130,7 +128,7 @@ def test_every_record_of_the_package_is_listed():
              if isinstance(cls, type) and issubclass(cls, Record) and "_fields" in vars(cls)
              and cls._fields}
     assert found == {case.cls for case in CASES}
-    assert len(found) == 17
+    assert len(found) == 16
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)

@@ -497,11 +497,12 @@ def test_hellmann_feynman_slopes(seed):
 # ---------------------------------------------------------------- transitions
 
 
-def group_lines(lines, digits=6):
+def group_lines(columns, digits=6):
+    _, freq, weight, _, _ = columns
     tot = {}
-    for ln in lines:
-        key = round(ln.freq, digits)
-        tot[key] = tot.get(key, 0.0) + ln.weight
+    for f, w in zip(freq.tolist(), weight.tolist()):
+        key = round(f, digits)
+        tot[key] = tot.get(key, 0.0) + w
     return tot
 
 
@@ -526,19 +527,17 @@ def test_nv_axial_lines_without_hyperfine():
 def test_p1_dominant_lines_at_working_point():
     # three nuclear-conserving lines, one per m_I, near-equal weight
     eig = sm.eigensystem(sm.build_p1_hamiltonian(192.431 * B001, AXIS_111))
-    lines = sorted(sm.transition_spectrum(eig, initial_levels=(0, 1, 2)),
-                   key=lambda ln: -ln.weight)
-    freqs = sorted(ln.freq for ln in lines[:3])
-    assert np.allclose(freqs, [5284.849858, 5390.008494, 5493.381423], atol=1e-4)
-    for ln in lines[:3]:
-        assert abs(ln.weight - 1.0 / 6.0) < 2e-3
-        assert ln.from_index + ln.to_index == 5
+    _, freq, weight, initial, final = sm.transition_spectrum(eig, initial_levels=(0, 1, 2))
+    top = np.argsort(-weight, kind="stable")[:3]
+    assert np.allclose(np.sort(freq[top]), [5284.849858, 5390.008494, 5493.381423], atol=1e-4)
+    assert np.all(np.abs(weight[top] - 1.0 / 6.0) < 2e-3)
+    assert np.all(initial[top] + final[top] == 5)
 
 
 def test_transition_weight_floor_and_index_check():
     eig = sm.eigensystem(sm.build_nv_hamiltonian(30.0 * B110, AXIS_111))
-    few = sm.transition_spectrum(eig, weight_floor=1e-2)
-    many = sm.transition_spectrum(eig, weight_floor=0.0)
+    few = sm.transition_spectrum(eig, weight_floor=1e-2)[1]
+    many = sm.transition_spectrum(eig, weight_floor=0.0)[1]
     assert len(few) < len(many)
     assert len(many) == 8  # every final level once
     with pytest.raises(IndexError):
@@ -552,11 +551,26 @@ def test_transition_spectrum_of_a_stack_in_field_initial_final_order():
     expected = [(n, i, f) for n in range(4) for i in (5, 0, 3) for f in range(6) if f != i]
     assert list(zip(index.tolist(), initial.tolist(), final.tolist())) == expected
     for n, values in enumerate(eig.values):
-        single = sm.transition_spectrum(sm.EigenSystem(values, eig.vectors[n]), (5, 0, 3), 0.0)
-        assert [ln.freq for ln in single] == freq[index == n].tolist()
+        _, single_freq, single_weight, _, _ = sm.transition_spectrum(
+            sm.EigenSystem(values, eig.vectors[n]), (5, 0, 3), 0.0)
+        assert single_freq.tolist() == freq[index == n].tolist()
         gaps = [abs(values[f] - values[i]) for _, i, f in expected[:15]]
-        assert [ln.freq for ln in single] == gaps
-        assert [ln.weight for ln in single] == weight[index == n].tolist()
+        assert single_freq.tolist() == gaps
+        assert single_weight.tolist() == weight[index == n].tolist()
+
+
+@pytest.mark.parametrize("model,b", [("nv", 30.0 * B110), ("nv", np.array([3.0, -40.0, 7.0])),
+                                     ("p1", 192.431 * B001)])
+def test_transition_spectrum_of_one_eigensystem_is_its_stack_of_one(model, b):
+    eig = sm.eigensystem(sm._BUILDERS[model](b, AXIS_111))
+    one = sm.transition_spectrum(eig, (0, 2), weight_floor=0.0)
+    stack = sm.transition_spectrum(sm.EigenSystem(eig.values[None], eig.vectors[None]), (0, 2),
+                                   weight_floor=0.0)
+    assert len(one) == len(stack) == 5
+    for got, want in zip(one, stack):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+    assert one[0].tolist() == [0] * one[1].size
 
 
 def test_transition_weight_floor_keeps_a_line_at_the_floor():
@@ -568,8 +582,9 @@ def test_transition_weight_floor_keeps_a_line_at_the_floor():
     assert (index[5], initial[5], final[5]) in zip(kept[0], kept[3], kept[4])
     assert kept[2].tolist() == weight[weight >= floor].tolist()
     single = sm.EigenSystem(eig.values[index[5]], eig.vectors[index[5]])
-    lines = sm.transition_spectrum(single, (initial[5],), weight_floor=floor)
-    assert (initial[5], final[5], floor) in [(ln.from_index, ln.to_index, ln.weight) for ln in lines]
+    _, _, single_weight, single_initial, single_final = sm.transition_spectrum(
+        single, (initial[5],), weight_floor=floor)
+    assert (initial[5], final[5], floor) in zip(single_initial, single_final, single_weight)
 
 
 @pytest.mark.parametrize("model,b", [("nv", 30.0 * B110), ("p1", 192.431 * B001)])
@@ -606,8 +621,7 @@ def test_transition_sum_rule(seed):
     eig = sm.eigensystem(sm.build_nv_hamiltonian(b, n))
     drive = np.kron(sm.spin_operators(1.0)[0], np.eye(3))
     i = int(rng.integers(0, 9))
-    lines = sm.transition_spectrum(eig, initial_levels=(i,), weight_floor=0.0)
-    total = sum(ln.weight for ln in lines)
+    total = sum(sm.transition_spectrum(eig, initial_levels=(i,), weight_floor=0.0)[2].tolist())
     vec = eig.vectors[:, i]
     expect_sq = np.real(vec.conj() @ (drive @ drive @ vec))
     expect = np.real(vec.conj() @ (drive @ vec))

@@ -703,7 +703,7 @@ def _spoilt_csv(kind, line, column, value):
     "kind, text, reason",
     [
         ("lorentzian", "f_MHz,S21_mag\n5389.0,0.2\n5390.0,-0.1\n5391.0,0.2\n",
-         "magnitudes must be non-negative (linear scale)"),
+         "line 3: negative S21_mag"),
         ("avoided_crossing", _map_csv((70.0, 71.0), (5390.0, 5390.0, 5389.0)),
          "omega_axis must be strictly monotone"),
         ("avoided_crossing", _map_csv((70.0, 72.0, 71.0), (5389.0, 5390.0)),
@@ -864,11 +864,11 @@ def test_transitions_csv_matches_the_per_field_lines(tmp_path, name, levels):
     grid = sio._b_grid(cfg.sweep)
     sm = sio.spin_models
     eig = sm.eigensystem(sm._BUILDERS[sample.defect.lower()](grid[:, None] * direction, axis))
-    rows = [
-        (b, ln.freq, ln.weight, ln.from_index, ln.to_index)
-        for b, values, vectors in zip(grid, eig.values, eig.vectors)
-        for ln in sm.transition_spectrum(sm.EigenSystem(values, vectors), sample.initial_levels)
-    ]
+    rows = []
+    for b, values, vectors in zip(grid, eig.values, eig.vectors):
+        _, *columns = sm.transition_spectrum(sm.EigenSystem(values[None], vectors[None]),
+                                             sample.initial_levels)
+        rows += [(b, *line) for line in zip(*(c.tolist() for c in columns))]
     out = tmp_path / "transitions.csv"
     assert cli.main(["transitions", "--config", cfgp, "--out", str(out)]) == 0
     expected = _csv_text_per_row("B_mT,f_MHz,weight,from_level,to_level", list(zip(*rows)))
@@ -997,7 +997,8 @@ def test_csv_write_and_read_memory_is_bounded_by_the_block(tmp_path):
 
 def _read_csv_from_lines(path, expected_header):
     """The CSV reader as it was before it streamed: the whole file as a list of
-    lines, then one loadtxt call over them, with the float() walk as fallback."""
+    lines, then one loadtxt call over them, with the float() walk as fallback;
+    then the finite check and the negative S21_mag check, each naming its line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -1030,10 +1031,13 @@ def _read_csv_from_lines(path, expected_header):
         if not rows:
             raise cli.CsvError(f"{path}: no data rows")
         data = np.array(rows)
+    numbered = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        numbered = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
         raise cli.CsvError(f"{path}: line {numbered[bad[0]]}: non-finite field")
+    negative = np.flatnonzero(data[:, expected_header.index("S21_mag")] < 0)
+    if negative.size:
+        raise cli.CsvError(f"{path}: line {numbered[negative[0]]}: negative S21_mag")
     return data
 
 
