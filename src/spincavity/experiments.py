@@ -146,18 +146,16 @@ def loop_gap_elements(cc_ff, cx_ff=0.0):
 def cc_for_qext(q_ext_combined):
     """Per-port coupling capacitance (fF) hitting a combined external Q.
 
-    Inverts the weak-coupling relation Q_ext,port = C_eff/(w0 Z0 cc^2) with
-    both ports equal and Z0 the circuit model's default port impedance
-    (50 Ohm); solved iteratively since cc feeds back into C_eff.
+    Iterates on circuit_model.q_decomposition of loop_gap_elements(cc): each
+    port's Q_ext falls as 1/cc^2, so cc *= sqrt(Q_ext,combined / target)
+    would land on the target at once if cc did not also add to C_eff.  Any
+    positive start converges.
     """
-    q_port = 2.0 * q_ext_combined
-    l = LOOP_GAP_L_NH * 1e-9
-    cc = 0.0
+    cc = 1.0
     for _ in range(40):
-        c_eff = LOOP_GAP_C_PF * 1e-12 + 2.0 * cc
-        w0 = 1.0 / np.sqrt(l * c_eff)
-        cc = np.sqrt(c_eff / (q_port * w0 * circuit_model.CircuitElements.z0))
-    return cc * 1e15
+        _, _, q_e1, q_e2 = circuit_model.q_decomposition(loop_gap_elements(cc))
+        cc *= np.sqrt(1.0 / (1.0 / q_e1 + 1.0 / q_e2) / q_ext_combined)
+    return cc
 
 
 def loop_gap_trace(elems):

@@ -62,7 +62,7 @@ def _levmar(evaluate, p0):
     lam = 1e-3
     converged = False
     it = 0
-    while it < MAX_ITER:
+    while not converged and it < MAX_ITER:
         it += 1
         jac = jacobian()
         a = jac.T @ jac
@@ -70,7 +70,6 @@ def _levmar(evaluate, p0):
         a_diag = np.diag(a)
         diag = np.where(a_diag <= 0, 1.0, a_diag)
         damped = a.copy()
-        stepped = False
         while lam < 1e14:
             np.fill_diagonal(damped, a_diag + lam * diag)
             try:
@@ -84,15 +83,12 @@ def _levmar(evaluate, p0):
                 p = p + delta
                 r, cost, jacobian = r_new, cost_new, jac_new
                 lam = max(lam / 3.0, 1e-12)
-                stepped = True
                 rel = np.max(np.abs(delta) / np.maximum(np.abs(p), 1e-8))
-                if rel < REL_STEP_TOL:
-                    converged = True
+                converged = bool(rel < REL_STEP_TOL)
                 break
             lam *= 10.0
-        if converged or not stepped:
-            converged = converged or not stepped  # damping exhausted at a minimum
-            break
+        else:  # damping exhausted at a minimum
+            converged = True
     rms = float(np.sqrt(cost / r.size))
     return p, rms, converged, it
 

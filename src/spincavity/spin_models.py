@@ -380,11 +380,7 @@ def _track(vecs, b_range):
     slice, and only the steps that change it are visited.
     """
     n, dim = vecs.shape[:2]
-    # in blocks, which bounds the complex temporaries
-    overlap = np.empty((n - 1, dim, dim))
-    for s in range(0, n - 1, 128):
-        e = min(s + 128, n - 1)
-        np.abs(vecs[s:e].conj().swapaxes(1, 2) @ vecs[s + 1 : e + 1], out=overlap[s:e])
+    overlap = np.abs(vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:])
     best = overlap.argmax(axis=2)
     is_perm = np.all(np.sort(best, axis=1) == np.arange(dim), axis=1)
     worst = overlap.max(axis=2).min(axis=1)

@@ -197,10 +197,13 @@ def cmd_transitions(cfg, args):
     return 0
 
 
-def _synthesize_map(cfg, noise, threads=None):
-    """S21 map over the config's sweep; `threads`, like --threads, is ignored."""
-    sample = _require(cfg, "sample", "map")
-    res = _require(cfg, "resonator", "map")
+def _synthesize_map(cfg, noise, threads=None, command="map"):
+    """S21 map over the config's sweep; `threads`, like --threads, is ignored.
+
+    A missing section's error names `command`, the command that runs.
+    """
+    sample = _require(cfg, "sample", command)
+    res = _require(cfg, "resonator", command)
     res_mode = _resonator_mode(res)
     direction, axis = _field_setup(sample)
     smap = experiments.spin_line_map(
@@ -365,7 +368,8 @@ def cmd_fit(cfg, args):
     if args.infile and args.noise is not None:
         raise ConfigError("--noise applies to synthesized data only; it cannot be used with --in")
     if args.kind == "avoided_crossing":
-        data = _map_from_csv(args.infile) if args.infile else _synthesize_map(cfg, args.noise)
+        data = (_map_from_csv(args.infile) if args.infile
+                else _synthesize_map(cfg, args.noise, command="fit"))
     else:
         data = _trace_from_csv(args.infile) if args.infile else _synthesize_trace(cfg, args.noise)
     result = getattr(fitting, f"fit_{args.kind}")(data)  # at call time: bench/tracer.py swaps it

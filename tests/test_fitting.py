@@ -625,6 +625,20 @@ def test_levmar_evaluates_each_trial_once_and_builds_jacobians_only_where_it_ste
     assert len(evaluated) > len(built) + 5  # rejected trials paid for no Jacobian
 
 
+def test_levmar_stops_when_no_damping_lowers_the_cost():
+    # the cost's minimum is a kink at p = 0, where the Jacobian handed in
+    # points uphill, so every trial, however damped, raises the cost
+    def residual(p):
+        return 1.0 + np.abs(p)
+
+    def jacobian(p):
+        return np.ones((1, 1))
+
+    p, *rest = ft._levmar(lambda p: (residual(p), lambda: jacobian(p)), [0.0])
+    ref_p, *ref_rest = reference_levmar(residual, jacobian, [0.0])
+    assert (p.tolist(), rest) == (ref_p.tolist(), ref_rest) == ([0.0], [1.0, True, 1])
+
+
 def _noisy_nv_map():
     smap = ex.nv_anticrossing_map()
     return ex.add_magnitude_noise(smap, 0.003 * np.abs(smap.values).max(), 7)

@@ -70,6 +70,10 @@ cc1_ff = 10
 cc2_ff = 10
 """
 
+# NV_MAP with its resonator given as CIRCUIT_ONLY's elements
+NV_MAP_MODE = "omega_r_mhz = 5390.0\nq_int = 1300\nq_ext1 = 7000\nq_ext2 = 7000\n"
+NV_CIRCUIT = NV_MAP.replace(NV_MAP_MODE, CIRCUIT_ONLY.removeprefix("\n[resonator]\n"))
+
 # every key of every section, each away from its default
 ALL_KEYS = """
 [sample]
@@ -221,6 +225,22 @@ LOSSLESS_REASON = "circuit elements in [resonator] have no loss: Q_int and both 
     # and circuit wrote 1601 rows of zero transmission with exit 0
     *(pytest.param([c], NV_MINIMAL + LOSSLESS_CIRCUIT, LOSSLESS_REASON, id=f"{c}-lossless")
       for c in ("budget", "map", "fit", "circuit")),
+    # fit synthesizes its map as map does, and used to name 'map' here
+    pytest.param(["fit"], NV_MINIMAL, "command 'fit' needs a [resonator] section in the config",
+                 id="fit-without-resonator"),
+    pytest.param(["fit"], CIRCUIT_ONLY, "command 'fit' needs a [sample] section in the config",
+                 id="fit-without-sample"),
+    pytest.param(["budget"], NV_MINIMAL + "[resonator]\nq_int = 1300\n",
+                 "section [resonator] needs omega_r_mhz or circuit elements",
+                 id="budget-resonator-without-mode"),
+    pytest.param(["circuit"], NV_MINIMAL,
+                 "command 'circuit' needs a [resonator] section in the config",
+                 id="circuit-without-resonator"),
+    pytest.param(["circuit"], NV_MAP, "command 'circuit' needs circuit elements in [resonator]",
+                 id="circuit-without-elements"),
+    pytest.param(["levels"], NV_MINIMAL + "field_direction = 1 a 0\n",
+                 "key 'field_direction' in [sample] must be three Miller indices, got '1 a 0'",
+                 id="levels-non-integer-direction"),
 ])
 def test_config_errors_exit_2_with_one_line_reason(tmp_path, capsys, command, text, reason):
     cfgp = write(tmp_path, "bad.ini", text)
@@ -736,6 +756,8 @@ def _spoilt_csv(kind, line, column, value):
         ("lorentzian", "f_MHz,S21_mag\n5389.0,0.2\n  \n5390.0,half\n",
          "line 4: non-numeric field"),
         ("lorentzian", "f_MHz,S21_mag\n5_389.0,0.2\n5390.0,nan\n", "line 3: non-finite field"),
+        ("avoided_crossing", "B_mT,f_MHz,S21_mag\n1,5,0.5\n1,6,0.5\n2,5,0.5\n",
+         "map is not rectangular"),
     ],
     ids=["negative_magnitude", "repeated_frequencies", "unordered_field_blocks",
          "nan_in_trace_lorentzian", "nan_in_trace_fano", "inf_in_map", "negative_map_magnitude",
@@ -743,7 +765,8 @@ def _spoilt_csv(kind, line, column, value):
          "inconsistent_block_after_a_blank_line", "trailing_comma", "hash_led_line",
          "hash_led_field", "rows_one_field_short", "map_rows_one_field_short", "header_only",
          "header_and_empty_lines", "header_and_whitespace_lines",
-         "non_numeric_after_a_whitespace_line", "nan_after_an_underscored_number"],
+         "non_numeric_after_a_whitespace_line", "nan_after_an_underscored_number",
+         "non_rectangular_map"],
 )
 def test_fit_in_rejected_data_exits_4(tmp_path, capsys, kind, text, reason):
     cfgp = write(tmp_path, "cfg.ini", NV_MAP)
@@ -1164,6 +1187,17 @@ def test_fit_in_rejects_noise(tmp_path, capsys, kind, sigma):
     )
 
 
+@pytest.mark.parametrize("kind", ["lorentzian", "fano"])
+def test_noisy_synthesized_trace_is_seeded(capsys, kind):
+    # the noise is drawn from [sweep] seed, so two runs print the same bytes
+    argv = ["fit", "--config", str(ROOT / "configs" / "loop_gap.ini"), "--kind", kind]
+    outs = []
+    for extra in (["--noise", "0.01"], ["--noise", "0.01"], []):
+        assert cli.main(argv + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]
+
+
 def test_fit_without_repulsion_exits_3(tmp_path, capsys):
     bare = NV_MAP.replace("density_ppm = 10", "density_ppm = 0").replace(
         "g_ens_mhz = 11.5", ""
@@ -1213,10 +1247,18 @@ def test_circuit_csv_and_q_report(tmp_path, capsys):
     assert np.isclose(float(report["q_int"]), q_int, rtol=1e-6)
 
 
-def test_circuit_without_elements_exits_2(tmp_path, capsys):
-    cfgp = write(tmp_path, "cfg.ini", NV_MINIMAL)
-    assert cli.main(["circuit", "--config", cfgp]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("command", ["budget", "map", "fit"])
+def test_spin_commands_on_circuit_elements_run_their_decomposed_mode(tmp_path, capsys, command):
+    # the same bytes as a config that states q_decomposition's mode
+    f0, q_int, q_e1, q_e2 = cli.scalars.q_decomposition(
+        cli.parse_config(NV_CIRCUIT).resonator.circuit)
+    mode = f"omega_r_mhz = {f0!r}\nq_int = {q_int!r}\nq_ext1 = {q_e1!r}\nq_ext2 = {q_e2!r}\n"
+    outs = []
+    for name, text in (("circuit.ini", NV_CIRCUIT), ("mode.ini", NV_MAP.replace(NV_MAP_MODE, mode))):
+        assert cli.main([command, "--config", write(tmp_path, name, text)]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert outs[0].err == ""
 
 
 def test_map_from_circuit_with_crosstalk_exits_2(tmp_path, capsys):
