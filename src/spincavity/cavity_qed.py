@@ -6,6 +6,8 @@ the usual g * sqrt(N) enhancement of N ground-state spins sharing one cavity
 mode.
 """
 
+import math
+
 import numpy as np
 
 # the budget's scalar pieces and the record base, defined in the numpy-free scalars
@@ -93,26 +95,72 @@ def s21_map(b_grid, omega_grid, res, lines):
     return SpectrumMap(b, omega, values)
 
 
+# the 17 Chebyshev-Lobatto nodes x_j = cos(theta_j), ascending from -1 to 1,
+# and the DCT-I matrix taking values at them to the Chebyshev coefficients c
+# of their interpolant sum_k c_k T_k(x), with T_k(cos theta) = cos(k theta)
+_K = np.arange(17)
+_THETA = np.pi * (16 - _K) / 16
+_NODES = np.cos(_THETA)
+_HALVED = np.where(_K % 16 == 0, 0.5, 1.0)
+_DCT = np.cos(np.outer(_K, _THETA)) * np.outer(_HALVED, _HALVED) / 8
+
+
 def crossing_field(transition_curve, omega_r, bracket):
     """Field at which a transition curve crosses the cavity.
 
-    :param transition_curve: callable taking an array of fields (mT) to the
-        array of their frequencies (MHz), monotone on the bracket
-    :param bracket: (b_lo, b_hi) with the crossing inside
-    :returns: crossing field, mT
+    :param transition_curve: callable taking an array of n fields (mT) to
+        their frequencies (MHz), an (n,) array for one line or an (L, n)
+        array for L lines, each monotone and analytic on the bracket
+    :param bracket: (b_lo, b_hi) with each crossing inside
+    :returns: crossing field, mT; a list of L of them for L lines
 
-    Three rounds each evaluate the curve once, on 17 points across the
-    bracket, and keep the first cell in which it crosses omega_r as the next
-    bracket; the root is interpolated linearly in the last cell, which is
-    1/4096 of the bracket wide.
+    The curve is called once, on 17 Chebyshev-Lobatto nodes that include
+    b_lo and b_hi exactly.  A line's root is that of its Chebyshev
+    interpolant in the first node cell where the line crosses omega_r, found
+    by Newton's method kept inside the cell by bisection; a root on a node is
+    that node.  The interpolant of a curve analytic on the bracket matches it
+    to rounding.  A line whose last two coefficients together exceed 1e-9 of
+    its range at the nodes is not resolved by 17 nodes (a kink, say), and
+    raises ValueError rather than return a root that may be wrong.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    for _ in range(3):
-        b = np.linspace(lo, hi, 17)
-        f = transition_curve(b) - omega_r
+    b = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
+    b[0], b[-1] = lo, hi
+    values = np.asarray(transition_curve(b), dtype=float)
+    roots = []
+    for f in np.atleast_2d(values) - omega_r:
         change = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
         if not change.size:
             raise ValueError(f"no crossing of {omega_r:g} MHz inside [{lo:g}, {hi:g}] mT")
+        c = _DCT @ f
+        if not abs(c[-2]) + abs(c[-1]) <= 1e-9 * (f.max() - f.min()):
+            raise ValueError(f"17 nodes do not resolve the curve on [{lo:g}, {hi:g}] mT")
         i = change[0]
-        lo, hi = b[i], b[i + 1]
-    return float(lo - f[i] * (hi - lo) / (f[i + 1] - f[i]))
+        if f[i] == 0 or f[i + 1] == 0:
+            roots.append(float(b[i] if f[i] == 0 else b[i + 1]))
+            continue
+        x = _cell_root(c, _NODES[i], _NODES[i + 1], f[i], f[i + 1])
+        roots.append(float(0.5 * (lo + hi) + 0.5 * (hi - lo) * x))
+    return roots[0] if values.ndim == 1 else roots
+
+
+def _cell_root(c, a, z, f_a, f_z):
+    """Root in (a, z) of the Chebyshev series c, which has the signs f_a and
+    f_z at a and z: Newton's method from the secant, bisecting where a step
+    leaves the bracket."""
+    x, ck = a - f_a * (z - a) / (f_z - f_a), c * _K
+    for _ in range(100):
+        theta = math.acos(x)
+        p = float(c @ np.cos(_K * theta))
+        slope = float(ck @ np.sin(_K * theta)) / math.sin(theta)
+        if p * f_a > 0:
+            a = x
+        elif p * f_a < 0:
+            z = x
+        step = x - p / slope if slope else math.inf
+        if not a < step < z:
+            step = 0.5 * (a + z)
+        x, dx = step, step - x
+        if abs(dx) <= 1e-14:
+            break
+    return x

@@ -57,23 +57,25 @@ def spin_line_map(defect, direction, axis, b_grid, omega_grid, res, linewidth, g
     return cavity_qed.s21_map(b_grid, omega_grid, res, spins)
 
 
-def _line_frequency(defect, b_mt, line):
-    """Line `line` of LINE_PAIRS[defect] on the canonical sweep, from sorted levels.
+def _line_frequency(defect, b_mt, lines):
+    """Lines `lines` of LINE_PAIRS[defect] on the canonical sweep, from sorted levels.
 
-    b_mt is one field or an array of them; the result has its shape.
+    b_mt is one field or an array of them; the result holds one frequency
+    array of its shape per line, all from one diagonalization.
     """
     pairs = LINE_PAIRS[defect]
-    if line not in range(len(pairs)):
+    if not all(line in range(len(pairs)) for line in lines):
         raise ValueError(f"line_index must lie in 0..{len(pairs) - 1}")
-    lo, hi = pairs[line]
+    lo, hi = np.array([pairs[line] for line in lines]).T
     b_dc = np.multiply.outer(b_mt, _SETUP[defect][0])
     vals = np.linalg.eigvalsh(spin_models._BUILDERS[defect](b_dc, AXIS_111))
-    return vals[..., hi] - vals[..., lo]
+    return np.moveaxis(vals[..., hi] - vals[..., lo], -1, 0)
 
 
-def _crossing(defect, line, omega_r):
+def _crossings(defect, lines, omega_r):
+    """Crossing field of each line of `lines` with the cavity, from one curve call."""
     bracket = _SETUP[defect][1]
-    return cavity_qed.crossing_field(lambda b: _line_frequency(defect, b, line), omega_r, bracket)
+    return cavity_qed.crossing_field(lambda b: _line_frequency(defect, b, lines), omega_r, bracket)
 
 
 def _anticrossing_map(defect, line, g_ens, linewidth):
@@ -84,7 +86,7 @@ def _anticrossing_map(defect, line, g_ens, linewidth):
     """
     res = resonator_mode()
     direction, _, (b_half, b_points, w_half, w_points) = _SETUP[defect]
-    b_star = _crossing(defect, line, res.omega_r)
+    (b_star,) = _crossings(defect, [line], res.omega_r)
     b_grid = np.linspace(b_star - b_half, b_star + b_half, b_points)
     omega_grid = np.linspace(res.omega_r - w_half, res.omega_r + w_half, w_points)
     return spin_line_map(
@@ -95,12 +97,12 @@ def _anticrossing_map(defect, line, g_ens, linewidth):
 def nv_transition_frequency(b_mt):
     """Lowest-to-highest NV transition for B along [110], non-orthogonal bonds;
     b_mt is one field or an array of them."""
-    return _line_frequency("nv", b_mt, 0)
+    return _line_frequency("nv", b_mt, [0])[0]
 
 
 def nv_crossing(omega_r=OMEGA_R_MHZ):
     """Field where the NV transition meets the cavity, mT."""
-    return _crossing("nv", 0, omega_r)
+    return _crossings("nv", [0], omega_r)[0]
 
 
 def nv_anticrossing_map(g_ens=11.5, linewidth=MAP_LINEWIDTH_MHZ):
@@ -116,12 +118,12 @@ def p1_transition_frequency(b_mt, line_index):
     projection: the hyperfine ordering flips sign between the two electron
     manifolds.
     """
-    return _line_frequency("p1", b_mt, line_index)
+    return _line_frequency("p1", b_mt, [line_index])[0]
 
 
 def p1_crossings(omega_r=OMEGA_R_MHZ):
     """The three P1 crossing fields (m_I = +1, 0, -1 order), ascending in B."""
-    return [_crossing("p1", j, omega_r) for j in range(3)]
+    return _crossings("p1", range(3), omega_r)
 
 
 def p1_anticrossing_map(line_index, g_ens):

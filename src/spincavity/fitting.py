@@ -72,11 +72,7 @@ def _levmar(evaluate, p0):
         damped = a.copy()
         while lam < 1e14:
             np.fill_diagonal(damped, a_diag + lam * diag)
-            try:
-                delta = np.linalg.solve(damped, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
+            delta = np.linalg.solve(damped, -g)
             r_new, jac_new = evaluate(p + delta)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:

@@ -382,14 +382,18 @@ def _track(vecs, b_range):
     n, dim = vecs.shape[:2]
     overlap = np.abs(vecs[:-1].conj().swapaxes(1, 2) @ vecs[1:])
     best = overlap.argmax(axis=2)
-    is_perm = np.all(np.sort(best, axis=1) == np.arange(dim), axis=1)
-    worst = overlap.max(axis=2).min(axis=1)
+    order, start = np.arange(dim), 0
+    # the order changes only at steps whose row-wise best match is not the
+    # identity; elsewhere that match is a permutation and its row maximum the diagonal
+    moved = np.flatnonzero((best != order).any(axis=1))
+    is_perm = np.ones(n - 1, dtype=bool)
+    is_perm[moved] = np.all(np.sort(best[moved], axis=1) == order, axis=1)
+    worst = np.diagonal(overlap, axis1=1, axis2=2).min(axis=1)
+    worst[moved] = overlap[moved].max(axis=2).min(axis=1)
     low = np.flatnonzero(is_perm & (worst < 0.5))
     stop = low[0] if low.size else n - 1
     orders = np.empty((stop + 1, dim), dtype=np.intp)
-    order, start = np.arange(dim), 0
-    # the order changes only at steps whose row-wise best match is not the identity
-    for i in np.flatnonzero((best[:stop] != order).any(axis=1)).tolist():
+    for i in moved[moved < stop].tolist():
         orders[start : i + 1], start = order, i + 1
         if is_perm[i]:
             order = best[i][order]

@@ -112,6 +112,8 @@ def test_single_spin_and_ensemble_coupling():
     assert np.isclose(cq.ensemble_coupling(g1, 1e12), g1 * 1e6 * 1e-6, rtol=1e-12, atol=0)
     with pytest.raises(ValueError):
         cq.ensemble_coupling(g1, -1.0)
+    with pytest.raises(ValueError, match="transition weight must be non-negative"):
+        cq.single_spin_coupling(14.0, 28.0, -0.25)
 
 
 def test_budget_chain_for_reference_sample():
@@ -321,8 +323,36 @@ def test_crossing_field_linear_curve():
 def test_crossing_field_endpoint_and_failure():
     assert cq.crossing_field(lambda x: 28.0 * x, 2800.0, (100.0, 300.0)) >= 100.0
     assert cq.crossing_field(lambda x: x, 100.0, (100.0, 300.0)) == 100.0
-    with pytest.raises(ValueError):
+    assert cq.crossing_field(lambda x: x, 300.0, (100.0, 300.0)) == 300.0
+    with pytest.raises(ValueError, match="no crossing"):
         cq.crossing_field(lambda x: 28.0 * x, 10000.0, (100.0, 300.0))
+
+
+@pytest.mark.parametrize("curve", [
+    lambda b: np.where(b < 170.0, 28.0 * b, 4760.0 + 40.0 * (b - 170.0)),
+    lambda b: np.stack([28.0 * b, np.where(b < 170.0, 28.0 * b, 4760.0 + 40.0 * (b - 170.0))]),
+], ids=["one-line", "second-of-two-lines"])
+def test_crossing_field_rejects_a_curve_its_nodes_do_not_resolve(curve):
+    # monotone, with a kink at 170 mT: the root is 173.5 mT, and the root of
+    # the interpolant on the 17 nodes lies 0.024 mT below it
+    with pytest.raises(ValueError, match="17 nodes do not resolve the curve"):
+        cq.crossing_field(curve, 4900.0, (150.0, 230.0))
+
+
+def test_crossing_field_of_stacked_lines_is_each_line_alone():
+    curves = (lambda b: 28.0 * b, lambda b: 5390.0 + 30.0 * (b - 187.0) + 0.05 * (b - 187.0) ** 3)
+    stacked = cq.crossing_field(lambda b: np.stack([c(b) for c in curves]), 5390.0, (150.0, 230.0))
+    alone = [cq.crossing_field(c, 5390.0, (150.0, 230.0)) for c in curves]
+    assert isinstance(alone[0], float) and stacked == alone
+    assert abs(stacked[0] - 5390.0 / 28.0) < 1e-12
+    assert abs(stacked[1] - 187.0) < 1e-12
+
+
+@pytest.mark.parametrize("omega_r", [5300.0, 5390.0, 5500.0])
+def test_p1_crossings_are_the_single_line_solves_bitwise(omega_r):
+    # one curve call for the three lines, each line's root as its own solve gives it
+    alone = [ex._crossings("p1", [j], omega_r)[0] for j in range(3)]
+    assert ex.p1_crossings(omega_r) == alone
 
 
 def test_nv_crossing_field_value():
@@ -352,11 +382,11 @@ def _lab_frame_root(lab, direction, pair, omega_r, bracket):
 @example(5300.0)
 @example(5500.0)
 def test_crossings_match_the_lab_frame_roots(omega_r):
-    # every crossing lies within 1e-6 mT of Brent's root on the lab-frame Hamiltonian
+    # every crossing lies within 1e-10 mT of Brent's root on the lab-frame Hamiltonian
     nv = _lab_frame_root(lab_frame_nv, B110, ex.LINE_PAIRS["nv"][0], omega_r, (40.0, 110.0))
-    assert abs(ex.nv_crossing(omega_r) - nv) <= 1e-6
+    assert abs(ex.nv_crossing(omega_r) - nv) <= 1e-10
     for pair, b in zip(ex.LINE_PAIRS["p1"], ex.p1_crossings(omega_r)):
-        assert abs(b - _lab_frame_root(lab_frame_p1, B001, pair, omega_r, (150.0, 230.0))) <= 1e-6
+        assert abs(b - _lab_frame_root(lab_frame_p1, B001, pair, omega_r, (150.0, 230.0))) <= 1e-10
 
 
 def test_p1_transition_ordering():

@@ -144,6 +144,11 @@ def test_nodal_matches_abcd_cascade():
     assert np.max(np.abs(s21 - ref)) < 1e-10
 
 
+def test_nodal_model_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="empty frequency grid"):
+        cm.loop_gap_s21(np.array([]), ex.loop_gap_elements(8.0))
+
+
 def test_decoupled_port_kills_transmission():
     elems = cm.CircuitElements(0.25, 3.465, 11010.0, cc1=0.0, cc2=8.0)
     grid = np.linspace(5300.0, 5480.0, 101)

@@ -254,6 +254,10 @@ def test_extract_qs_arithmetic():
         ft.extract_qs(fit, 1.0)
     with pytest.raises(ValueError):
         ft.extract_qs(fit, 0.0)
+    # a negative center gives a negative Q_L, so 1/Q_L - 1/Q_ext < 0
+    flipped = ft.FitResult({"center": -5390.0, "fwhm": 2.695}, 0.0, True, 1)
+    with pytest.raises(ValueError, match="internal Q denominator not positive"):
+        ft.extract_qs(flipped, 0.5)
 
 
 def test_extract_qs_round_trip_from_synthetic_trace():
@@ -637,6 +641,22 @@ def test_levmar_stops_when_no_damping_lowers_the_cost():
     p, *rest = ft._levmar(lambda p: (residual(p), lambda: jacobian(p)), [0.0])
     ref_p, *ref_rest = reference_levmar(residual, jacobian, [0.0])
     assert (p.tolist(), rest) == (ref_p.tolist(), ref_rest) == ([0.0], [1.0, True, 1])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 50])
+def test_levmar_damped_matrix_is_never_singular(rows):
+    # the damped normal matrix a + lam diag(a), with a zero diagonal entry
+    # taken as 1, is positive definite for every lam > 0: Jacobians near the
+    # underflow of a = J^T J, with identical or zero columns, solve without
+    # raising and end at finite parameters
+    for scale in 10.0 ** -np.arange(140, 170):
+        col = np.linspace(1.0, 2.0, rows) * scale
+        for jac in (np.stack([col, col], axis=1), np.stack([col, 0.0 * col], axis=1), col[:, None]):
+            def evaluate(p, jac=jac):
+                return jac @ p - 1.0, lambda: jac
+
+            p, rms, converged, iterations = ft._levmar(evaluate, np.ones(jac.shape[1]))
+            assert np.all(np.isfinite(p)) and np.isfinite(rms)
 
 
 def _noisy_nv_map():

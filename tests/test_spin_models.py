@@ -656,6 +656,9 @@ def test_level_curve_single_point_is_eigensystem():
 def test_level_curve_input_validation():
     with pytest.raises(ValueError):
         sm.level_curve("nv", B110, AXIS_111, np.array([1.0, 3.0, 2.0]))
+    for b_range in (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([])):
+        with pytest.raises(ValueError, match="b_range must be a 1d grid with at least one point"):
+            sm.level_curve("nv", B110, AXIS_111, b_range)
     with pytest.raises(ValueError):
         sm.level_curve("nv", [0, 0, 0], AXIS_111, np.array([1.0, 2.0]))
     for direction in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]):

@@ -1138,6 +1138,24 @@ def test_csv_that_is_not_utf8_exits_4(tmp_path, capsys, line):
     assert captured.err == f"data error: {path}: line {line}: not UTF-8 text\n"
 
 
+def test_map_csv_not_utf8_past_the_first_block_exits_4(tmp_path, capsys):
+    # loadtxt parses the first block, then meets the byte while decoding a
+    # later one: the line is found afresh, counted from the file's start
+    cfgp = write(tmp_path, "cfg.ini", NV_MAP)
+    path = tmp_path / "map.csv"
+    assert cli.main(["map", "--config", cfgp, "--out", str(path)]) == 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    offsets = np.cumsum([len(line) for line in lines])
+    line = int(np.searchsorted(offsets, 40_000)) + 2  # the first line starting past 40 KB
+    assert offsets[line - 2] >= 2 * sio._BLOCK
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+    assert cli.main(["fit", "--config", cfgp, "--in", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {path}: line {line}: not UTF-8 text\n"
+
+
 def test_config_that_is_not_utf8_exits_4(tmp_path, capsys):
     text = NV_MAP.encode()
     path = tmp_path / "latin1.ini"
@@ -1156,6 +1174,20 @@ def test_missing_files_exit_4(tmp_path, capsys):
     assert cli.main(["levels", "--config", str(tmp_path / "absent.ini")]) == 4
     assert cli.main(["fit", "--config", cfgp, "--in", str(tmp_path / "absent.csv")]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("levels", "nv_10ppm_b110.ini"),
+    ("transitions", "nv_10ppm_b110.ini"),
+    ("map", "nv_10ppm_b110.ini"),
+    ("circuit", "loop_gap.ini"),
+])
+def test_out_in_a_missing_directory_exits_4(tmp_path, capsys, command, config):
+    out = tmp_path / "absent" / "out.csv"
+    assert cli.main([command, "--config", str(ROOT / "configs" / config), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -1295,6 +1327,17 @@ def test_import_loads_no_scipy():
     # most of its run time
     proc = run_python("-c", "import sys, spincavity; "
                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_crossing_solves_load_no_scipy_and_no_numpy_polynomial():
+    # numpy.polynomial would cost each fresh interpreter that solves a crossing
+    # about 4.5 ms and 0.8 MB; the solver takes its Chebyshev series by hand
+    proc = run_python("-c", "import sys; from spincavity import experiments as ex; "
+                      "ex.nv_crossing(); ex.p1_crossings(); "
+                      "print(sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
