@@ -64,7 +64,9 @@ def _line_frequency(defect, b_mt, lines):
     array of its shape per line, all from one diagonalization.
     """
     pairs = LINE_PAIRS[defect]
-    if not all(line in range(len(pairs)) for line in lines):
+    # ints only: 1.0 and True pass the range test, then fail or pass as an index
+    if not all(np.issubdtype(type(line), np.integer) and line in range(len(pairs))
+               for line in lines):
         raise ValueError(f"line_index must lie in 0..{len(pairs) - 1}")
     lo, hi = np.array([pairs[line] for line in lines]).T
     b_dc = np.multiply.outer(b_mt, _SETUP[defect][0])

@@ -306,7 +306,8 @@ def fit_avoided_crossing(smap):
     bs = np.array([b_axis[i] for i in doubles])
     ws = np.array([per_column[i][0] + per_column[i][1] - omega_r0 for i in doubles])
     slope0, icept0 = np.polyfit(bs, ws, 1)
-    if slope0 == 0:
+    # a tuning of less than one frequency step over the window is rounding, not a slope
+    if abs(slope0) * np.ptp(b_axis) < np.abs(np.diff(omega_axis)).min():
         raise FitError("spin branch does not tune with field")
     b_star0 = (omega_r0 - icept0) / slope0
     if not b_axis.min() <= b_star0 <= b_axis.max():

@@ -38,10 +38,8 @@ def _omega_grid(sweep):
     return np.linspace(sweep.omega_min_mhz, sweep.omega_max_mhz, sweep.omega_points)
 
 
-# 10**k, correctly rounded and exact for k <= 22
-_POW10 = np.array([float(10**k) for k in range(300)])
-# the sign, first digit, '.' and other digits of a text laid out for exponent 0
-_MANTISSA_COLS = [0, 6, 7, *range(8, 25, 2)]
+# 10**k for k <= 15, exact: the scalings 10**(9 - e) of exponents -6 to 9
+_POW10 = np.array([float(10**k) for k in range(16)])
 # lines per block of _write_csv and characters per block of _lines: few enough
 # that the work arrays of a block stay in cache
 _BLOCK = 1 << 14
@@ -54,16 +52,14 @@ def _format_g10(*xs):
     Plane i holds character i of every value's text, so that each character
     column is written as one contiguous row; the bytes of a value down the
     planes, without the 0s, are its text.  All of xs are formatted in one
-    array pass, and each keeps only the planes its own values use.  Zeros and
-    every finite v with |v| >= 1e-289 take their 10-digit mantissa m from one
-    scaling q = |v| * 10**(9 - e) (a division for e > 9), which lies within
-    3e-6 of the exact product, so rint(q) is correctly rounded unless q is
-    within 1e-5 of a half-integer.  Those near-ties, non-finite values and
-    nonzero |v| < 1e-289 go through '%', in one list.  A text holds a sign,
-    a '0.000' prefix for exponents -1 to -4, and the 10 digits with a '.'
-    slot after each of the first 9.  Exponents outside -4 to 9 write the
-    digits as exponent 0 does, then move them to the front, followed by
-    'e+ddd'.
+    array pass, and each keeps only the planes its own values use.  The pass
+    writes zero and every v whose text has no exponent, -4 <= e <= 9 after
+    rounding: its 10-digit mantissa m comes from one scaling q = |v| * 10**(9 - e),
+    which lies within 3e-6 of the exact product, so rint(q) is correctly rounded
+    unless q is within 1e-5 of a half-integer.  Those near-ties, exponent
+    notation, inf and nan go through '%', in one list.  A text holds a sign, a
+    '0.000' prefix for exponents -1 to -4, and the 10 digits with a '.' slot
+    after each of the first 9.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     flat = np.concatenate([x.ravel() for x in xs])
@@ -72,16 +68,14 @@ def _format_g10(*xs):
     # a block's size costs its page faults
     a = np.abs(flat)
     zero = a == 0.0
-    fast = zero | ((a >= 1e-289) & (a < np.inf))
+    fast = a < np.inf
     np.copyto(a, 1.0, where=zero | ~fast)
     # floor(log10) is one off only within a few ulp of a power of ten, where the
     # mantissa rounds to 1e9 with the larger exponent or carries from 1e10 to it
     e = np.log10(a)
     e = np.floor(e, out=e).astype(np.int32)
-    scale = _POW10[np.abs(9 - e)]
-    q, big = np.empty_like(a), e > 9
-    np.multiply(a, scale, out=q, where=~big)
-    np.divide(a, scale, out=q, where=big)
+    # exponents outside -6 to 9 take a clipped scale: '%' writes their text
+    q = np.multiply(a, _POW10[np.clip(9 - e, 0, 15)], out=a)
     m = np.rint(q)
     q -= m
     np.abs(q, out=q)
@@ -91,9 +85,9 @@ def _format_g10(*xs):
     carry = m == 1e10
     np.copyto(m, 1e9, where=carry)
     e += carry
-    np.copyto(m, 0.0, where=zero)
-    expo = (e < -4) | (e > 9)
-    place = np.where(expo, 0, e).astype(np.int8)
+    fast &= (e >= -4) & (e <= 9)
+    np.copyto(m, 0.0, where=zero | ~fast)
+    place = e.astype(np.int8)  # e leaves the int8 range only where '%' writes the text
     out[0] = np.signbit(flat) * np.uint8(ord("-"))
     # exponents -1 to -4 put '0.' and then 0 to 3 zeros before the digits
     for col, (below, char) in enumerate(zip((0, 0, -1, -2, -3), b"0.000"), start=1):
@@ -117,15 +111,6 @@ def _format_g10(*xs):
         nonzero |= row != 0
         row += np.uint8(ord("0"))
         row *= nonzero | (place >= j)
-    rows = np.flatnonzero(expo)
-    if rows.size:
-        # 'e', the exponent's sign and its digits, the hundreds only when nonzero
-        k = np.abs(e[rows])
-        suffix = [np.full(k.shape, ord("e")), np.where(e[rows] < 0, ord("-"), ord("+")),
-                  (k >= 100) * (k // 100 + ord("0")), k // 10 % 10 + ord("0"), k % 10 + ord("0")]
-        text = np.vstack([out[_MANTISSA_COLS][:, rows], *suffix])
-        out[:, rows] = 0
-        out[: len(text), rows] = text
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = np.array(["%.10g" % v for v in flat[slow].tolist()], dtype="S25")
@@ -312,21 +297,17 @@ def _read_csv(path, expected_header):
 
 def _map_from_csv(path):
     data = _read_csv(path, ("B_mT", "f_MHz", "S21_mag"))
-    b_vals = data[:, 0]
-    b_axis, first_index = np.unique(b_vals, return_index=True)
-    b_axis = b_vals[np.sort(first_index)]
-    n_b = b_axis.size
-    if data.shape[0] % n_b != 0:
+    # a field block is as long as the first run of equal B_mT values
+    n_w = int(np.argmax(data[:, 0] != data[0, 0])) or len(data)
+    if len(data) % n_w:
         raise CsvError(f"{path}: map is not rectangular")
-    n_w = data.shape[0] // n_b
-    omega_axis = data[:n_w, 1]
-    mag = data[:, 2].reshape(n_b, n_w)
-    arg = data[:, 3].reshape(n_b, n_w) if data.shape[1] > 3 else np.zeros_like(mag)
-    blocks = data[:, :2].reshape(n_b, n_w, 2)
-    inconsistent = (blocks[:, :, 0] != b_axis[:, None]) | (blocks[:, :, 1] != omega_axis)
+    grid = data.reshape(-1, n_w, data.shape[1])
+    b_axis, omega_axis = grid[:, 0, 0], grid[0, :, 1]
+    inconsistent = (grid[:, :, 0] != b_axis[:, None]) | (grid[:, :, 1] != omega_axis)
     bad = np.flatnonzero(inconsistent.any(axis=1))
     if bad.size:
         raise CsvError(f"{path}: line {_line_number(path, bad[0] * n_w)}: inconsistent grid block")
+    mag, arg = grid[:, :, 2], (grid[:, :, 3] if data.shape[1] > 3 else 0.0)
     return _checked(path, cavity_qed.SpectrumMap, b_axis, omega_axis, mag * np.exp(1j * arg))
 
 

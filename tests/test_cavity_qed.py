@@ -396,6 +396,11 @@ def test_p1_transition_ordering():
         assert f[0] > f[1] > f[2]
     with pytest.raises(ValueError):
         ex.p1_transition_frequency(190.0, 3)
+    for line in (1.0, True):
+        with pytest.raises(ValueError, match=r"line_index must lie in 0\.\.2"):
+            ex.p1_transition_frequency(190.0, line)
+        with pytest.raises(ValueError, match=r"line_index must lie in 0\.\.2"):
+            ex.p1_anticrossing_map(line, 8.8)
 
 
 def test_anticrossing_map_windows():

@@ -430,6 +430,17 @@ def test_avoided_crossing_rejects_crossing_outside_window():
         ft.fit_avoided_crossing(smap)
 
 
+def test_avoided_crossing_rejects_a_branch_that_does_not_tune():
+    # the same two peaks in every column: the sum-rule slope is rounding
+    # (about 1e-13 MHz/mT), far below one frequency step over the window
+    b_grid = np.linspace(70.0, 80.0, 41)
+    omega_grid = np.linspace(5340.0, 5440.0, 501)
+    row = sum(0.2 * 1.5**2 / ((omega_grid - pk) ** 2 + 1.5**2) for pk in (5380.0, 5400.0))
+    smap = cq.SpectrumMap(b_grid, omega_grid, np.tile(row, (b_grid.size, 1)).astype(complex))
+    with pytest.raises(ft.FitError, match="spin branch does not tune with field"):
+        ft.fit_avoided_crossing(smap)
+
+
 # ---------------------------------------------------------------- LM engine
 
 

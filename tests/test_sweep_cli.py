@@ -758,6 +758,13 @@ def _spoilt_csv(kind, line, column, value):
         ("lorentzian", "f_MHz,S21_mag\n5_389.0,0.2\n5390.0,nan\n", "line 3: non-finite field"),
         ("avoided_crossing", "B_mT,f_MHz,S21_mag\n1,5,0.5\n1,6,0.5\n2,5,0.5\n",
          "map is not rectangular"),
+        ("avoided_crossing",
+         "B_mT,f_MHz,S21_mag\n1,5,0.5\n1,6,0.5\n2,5,0.5\n2,6,0.5\n1,5,0.5\n1,6,0.5\n",
+         "b_axis must be strictly monotone"),
+        ("avoided_crossing", "B_mT,f_MHz,S21_mag\n1,5,0.5\n2,5,0.5\n2,6,0.5\n3,5,0.5\n",
+         "line 4: inconsistent grid block"),
+        ("avoided_crossing", "B_mT,f_MHz,S21_mag\n1,5,0.5\n2,5,0.5\n1,6,0.5\n2,6,0.5\n",
+         "line 4: inconsistent grid block"),
     ],
     ids=["negative_magnitude", "repeated_frequencies", "unordered_field_blocks",
          "nan_in_trace_lorentzian", "nan_in_trace_fano", "inf_in_map", "negative_map_magnitude",
@@ -766,7 +773,8 @@ def _spoilt_csv(kind, line, column, value):
          "hash_led_field", "rows_one_field_short", "map_rows_one_field_short", "header_only",
          "header_and_empty_lines", "header_and_whitespace_lines",
          "non_numeric_after_a_whitespace_line", "nan_after_an_underscored_number",
-         "non_rectangular_map"],
+         "non_rectangular_map", "field_block_repeated", "block_longer_than_the_first",
+         "frequency_major_order"],
 )
 def test_fit_in_rejected_data_exits_4(tmp_path, capsys, kind, text, reason):
     cfgp = write(tmp_path, "cfg.ini", NV_MAP)
