@@ -85,13 +85,6 @@ RELATIONS = [
 ]
 
 
-def test_the_table_holds_every_direction_of_each_family():
-    names = [name for name, *_ in RELATIONS]
-    assert len(names) == len(set(names))
-    assert sum(name.startswith("nv_levels") for name in names) == 12
-    assert sum(name.startswith("p1_levels") for name in names) == 6
-
-
 @pytest.mark.parametrize("name, inputs, transform, expected, rtol", RELATIONS,
                          ids=[row[0] for row in RELATIONS])
 def test_relation(tmp_path, capsys, name, inputs, transform, expected, rtol):
