@@ -49,12 +49,21 @@ def spin_line_map(defect, direction, axis, b_grid, omega_grid, res, linewidth, g
     for the pairs of LINE_PAIRS[defect] selected by index in `lines` (all by
     default), in the order in which s21_spectrum sums them.
     """
-    pairs = LINE_PAIRS[defect.lower()]
-    if lines is not None:
-        pairs = [pairs[j] for j in lines]
-    e = spin_models.level_curve(defect.lower(), direction, axis, b_grid).energies
+    defect = defect.lower()
+    pairs = LINE_PAIRS[defect] if lines is None else _line_pairs(defect, lines)
+    e = spin_models.level_curve(defect, direction, axis, b_grid).energies
     spins = [cavity_qed.SpinLine(np.abs(e[:, hi] - e[:, lo]), linewidth, g_ens) for lo, hi in pairs]
     return cavity_qed.s21_map(b_grid, omega_grid, res, spins)
+
+
+def _line_pairs(defect, lines):
+    """The level pairs of LINE_PAIRS[defect] at the indices `lines`."""
+    pairs = LINE_PAIRS[defect]
+    # ints only: 1.0 and True pass the range test, then fail or pass as an index
+    if not all(np.issubdtype(type(line), np.integer) and line in range(len(pairs))
+               for line in lines):
+        raise ValueError(f"line_index must lie in 0..{len(pairs) - 1}")
+    return [pairs[line] for line in lines]
 
 
 def _line_frequency(defect, b_mt, lines):
@@ -63,12 +72,7 @@ def _line_frequency(defect, b_mt, lines):
     b_mt is one field or an array of them; the result holds one frequency
     array of its shape per line, all from one diagonalization.
     """
-    pairs = LINE_PAIRS[defect]
-    # ints only: 1.0 and True pass the range test, then fail or pass as an index
-    if not all(np.issubdtype(type(line), np.integer) and line in range(len(pairs))
-               for line in lines):
-        raise ValueError(f"line_index must lie in 0..{len(pairs) - 1}")
-    lo, hi = np.array([pairs[line] for line in lines]).T
+    lo, hi = np.array(_line_pairs(defect, lines)).T
     b_dc = np.multiply.outer(b_mt, _SETUP[defect][0])
     vals = np.linalg.eigvalsh(spin_models._BUILDERS[defect](b_dc, AXIS_111))
     return np.moveaxis(vals[..., hi] - vals[..., lo], -1, 0)

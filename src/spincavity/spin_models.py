@@ -19,6 +19,8 @@ does per-step tracking work only where the eigenvalue order changes.
 """
 
 import math
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +38,9 @@ A_P1_PERP = 114.03  # MHz
 A_P1_PAR = 81.33    # MHz
 
 _UNIT_TOL = 1e-8
+# eigensystem splits a stack into slices of at least this many matrices, one
+# thread each; measured break-even in CHANGES.md
+_MIN_SLICE = 256
 
 
 class HyperfineTensor(Record):
@@ -242,10 +247,16 @@ def build_p1_hamiltonian(b_dc, p1_axis, params=None):
 def eigensystem(h):
     """Diagonalize a Hermitian matrix, or an (n, d, d) stack; eigenvalues ascending.
 
-    A stack is diagonalized in one call and gives values (n, d) and vectors
-    (n, d, d), each slice equal to the single-matrix result.  A real
-    symmetric input stays real (float64 eigenvectors); any other is complex.
-    A non-finite entry is a ValueError.
+    A stack gives values (n, d) and vectors (n, d, d), each slice equal to
+    the single-matrix result.  A stack of fewer than 2 * _MIN_SLICE matrices
+    goes to one np.linalg.eigh call.  A longer one is split into contiguous
+    slices of at least _MIN_SLICE matrices, at most one per CPU the process
+    may run on; each slice goes to np.linalg.eigh on its own thread (eigh
+    releases the GIL), the calling thread taking the first, and the results
+    are written into one preallocated pair of arrays.  An exception in any
+    slice is raised here.  The output is the same bit for bit either way.
+    A real symmetric input stays real (float64 eigenvectors); any other is
+    complex.  A non-finite entry is a ValueError.
     """
     h = np.asarray(h)
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
@@ -259,8 +270,40 @@ def eigensystem(h):
         if not deviation <= 1e-8:
             raise ValueError("matrix is not Hermitian within tolerance" if np.isfinite(h).all()
                              else "matrix has non-finite entries")
-    vals, vecs = np.linalg.eigh(h)
-    return EigenSystem(vals, vecs)
+    parts = len(h) // _MIN_SLICE if h.ndim == 3 else 0
+    if parts >= 2:
+        parts = min(parts, _usable_cpus())
+    if parts < 2:
+        return EigenSystem(*np.linalg.eigh(h))
+    values, vectors = np.empty(h.shape[:2]), np.empty_like(h)
+    bounds = [len(h) * k // parts for k in range(parts + 1)]
+    errors = [None] * parts
+
+    def diagonalize(k):
+        # numpy only: bench/tracer.py keeps one span stack, the calling thread's
+        lo, hi = bounds[k], bounds[k + 1]
+        try:
+            values[lo:hi], vectors[lo:hi] = np.linalg.eigh(h[lo:hi])
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=diagonalize, args=(k,)) for k in range(1, parts)]
+    for t in threads:
+        t.start()
+    diagonalize(0)
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return EigenSystem(values, vectors)
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def transition_spectrum(eig, initial_levels=(0,), weight_floor=1e-6):
@@ -325,8 +368,9 @@ def level_curve(model, b_direction, axis, b_range, params=None):
     :returns: LevelCurves; column k of energies follows the level that starts
         as the k-th lowest at b_range[0]
 
-    The whole sweep is built as one (n, d, d) stack and diagonalized in one
-    call, in the field frame: with e the sweep direction in the defect frame
+    The whole sweep is built as one (n, d, d) stack and diagonalized by one
+    eigensystem call (which splits a long sweep across the CPUs), in the
+    field frame: with e the sweep direction in the defect frame
     and phi = atan2(e_y, e_x) its azimuth, the builder is given the axis z
     and the fields b (hypot(e_x, e_y), 0, e_z), so it returns a real
     symmetric stack and a real eigh diagonalizes it.  As H(phi) =

@@ -307,8 +307,12 @@ def _map_from_csv(path):
     bad = np.flatnonzero(inconsistent.any(axis=1))
     if bad.size:
         raise CsvError(f"{path}: line {_line_number(path, bad[0] * n_w)}: inconsistent grid block")
-    mag, arg = grid[:, :, 2], (grid[:, :, 3] if data.shape[1] > 3 else 0.0)
-    return _checked(path, cavity_qed.SpectrumMap, b_axis, omega_axis, mag * np.exp(1j * arg))
+    # mag * exp(1j * arg), built in place in the one complex array
+    mag = grid[:, :, 2]
+    z = np.multiply(1j, grid[:, :, 3]) if data.shape[1] > 3 else np.zeros(mag.shape, complex)
+    np.exp(z, out=z)
+    z *= mag
+    return _checked(path, cavity_qed.SpectrumMap, b_axis, omega_axis, z)
 
 
 def _trace_from_csv(path):

@@ -403,6 +403,17 @@ def test_p1_transition_ordering():
             ex.p1_anticrossing_map(line, 8.8)
 
 
+def test_spin_line_map_rejects_lines_that_are_not_line_indices():
+    b_grid, omega_grid = np.linspace(180.0, 200.0, 5), np.linspace(5370.0, 5410.0, 9)
+    args = ("p1", B001, AXIS_111, b_grid, omega_grid, ex.resonator_mode(), 2.5, 8.8)
+    for lines in ([3], [1.0], [True], [-1]):
+        with pytest.raises(ValueError, match=r"line_index must lie in 0\.\.2"):
+            ex.spin_line_map(*args, lines)
+    # a numpy integer is an index like an int
+    assert np.array_equal(ex.spin_line_map(*args, [np.int64(1)]).values,
+                          ex.spin_line_map(*args, [1]).values)
+
+
 def test_anticrossing_map_windows():
     # each map is centred on its line's crossing with the default cavity
     smap = ex.nv_anticrossing_map()

@@ -7,7 +7,12 @@ better than 1e-11 MHz.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +24,7 @@ from scipy.optimize import linear_sum_assignment
 
 from spincavity import spin_models as sm
 
+ROOT = Path(__file__).resolve().parents[1]
 B110 = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
 B001 = np.array([0.0, 0.0, 1.0])
 AXIS_111 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -1037,3 +1043,166 @@ def test_level_curve_diagonalizes_once(monkeypatch):
         calls.clear()
         sm.level_curve(model, [0.3, -0.2, 1.0], AXIS_111, grid / 100.0)
         assert len(calls) == 1 and calls[0][0] == 200
+
+
+# ---------------------------------------------------------------- threaded stacks
+
+
+def _bench_sweep(model, seed=2801):
+    """Field grid and generic direction of a bench sweep: 1500 fields, a
+    direction drawn as bench/workloads.py draws it."""
+    rng = np.random.default_rng([seed, 101])
+    b_max = {"nv": 200.0, "p1": 300.0}[model]
+    return rng.normal(size=3), np.linspace(0.0, b_max, 1500) + rng.uniform(5.0, 15.0)
+
+
+def _field_frame_stack(model, n):
+    direction, grid = _bench_sweep(model)
+    e = sm.rotation_to_z(AXIS_111) @ unit(direction)
+    fields = np.multiply.outer(grid[:n], [math.hypot(e[0], e[1]), 0.0, e[2]])
+    return sm._BUILDERS[model](fields, (0.0, 0.0, 1.0))
+
+
+def _threads_started(monkeypatch):
+    """A list that grows by one for each thread eigensystem starts."""
+    started, thread = [], sm.threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(kwargs.get("args"))
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(sm.threading, "Thread", counted)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("stack, n", [("nv", 1500), ("p1", 1500), ("nv", 512), ("p1", 512),
+                                      ("complex", 600)])
+def test_threaded_eigensystem_equals_eigh_of_each_slice(monkeypatch, stack, n, cpus):
+    if stack == "complex":
+        # a lab-frame field off the defect frame's xz plane makes the build complex
+        direction, grid = _bench_sweep("nv")
+        h = sm.build_nv_hamiltonian(np.multiply.outer(grid[:n], unit(direction)), AXIS_111)
+        assert np.iscomplexobj(h)
+    else:
+        h = _field_frame_stack(stack, n)
+        assert h.dtype == float
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: cpus)
+    started = _threads_started(monkeypatch)
+    parts = min(cpus, n // sm._MIN_SLICE)
+    eig = sm.eigensystem(h)
+    assert parts >= 2 and len(started) == parts - 1
+    assert eig.values.dtype == float and eig.vectors.dtype == h.dtype
+    bounds = [n * k // parts for k in range(parts + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert hi - lo >= sm._MIN_SLICE
+        values, vectors = np.linalg.eigh(h[lo:hi])
+        assert eig.values[lo:hi].tobytes() == values.tobytes()
+        assert eig.vectors[lo:hi].tobytes() == vectors.tobytes()
+
+
+def test_eigensystem_below_two_slices_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("eigensystem started a thread")
+
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(sm.threading, "Thread", no_thread)
+    for model in ("nv", "p1"):
+        h = _field_frame_stack(model, 2 * sm._MIN_SLICE - 1)
+        values, vectors = np.linalg.eigh(h)
+        eig = sm.eigensystem(h)
+        assert eig.values.tobytes() == values.tobytes()
+        assert eig.vectors.tobytes() == vectors.tobytes()
+    # one large matrix is not a stack
+    big = np.eye(2 * sm._MIN_SLICE)
+    assert np.array_equal(sm.eigensystem(big).values, np.ones(len(big)))
+
+
+def test_eigensystem_uses_no_more_threads_than_usable_cpus(monkeypatch):
+    started = _threads_started(monkeypatch)
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 1)
+    sm.eigensystem(_field_frame_stack("p1", 1500))
+    assert started == []
+    monkeypatch.undo()
+    started = _threads_started(monkeypatch)
+    sm.eigensystem(_field_frame_stack("p1", 1500))
+    assert len(started) == min(sm._usable_cpus(), 1500 // sm._MIN_SLICE) - 1
+
+
+def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert sm._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(sm.os, "sched_getaffinity")
+    monkeypatch.setattr(sm.os, "cpu_count", lambda: 5)
+    assert sm._usable_cpus() == 5
+    monkeypatch.setattr(sm.os, "cpu_count", lambda: None)
+    assert sm._usable_cpus() == 1
+
+
+class _SliceFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_an_exception_in_a_slice_reaches_the_caller(monkeypatch, failing):
+    # slice 0 runs on the calling thread, slice 1 on a worker
+    h = _field_frame_stack("nv", 1500)
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 2)
+    eigh, first_rows = np.linalg.eigh, [h[0], h[750]]
+
+    def failing_eigh(a, *args, **kwargs):
+        if np.array_equal(a[0], first_rows[failing]):
+            raise _SliceFailed(f"slice {failing}")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sm.np.linalg, "eigh", failing_eigh)
+    before = threading.active_count()
+    with pytest.raises(_SliceFailed, match=f"slice {failing}"):
+        sm.eigensystem(h)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("model", ["nv", "p1"])
+def test_threaded_level_curve_equals_the_one_thread_sweep(monkeypatch, model):
+    direction, grid = _bench_sweep(model)
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 2)
+    threaded = sm.level_curve(model, direction, AXIS_111, grid)
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 1)
+    single = sm.level_curve(model, direction, AXIS_111, grid)
+    assert threaded.energies.tobytes() == single.energies.tobytes()
+    assert threaded.vectors.tobytes() == single.vectors.tobytes()
+
+
+_FRESH_SWEEP = """
+import sys
+import numpy as np
+from spincavity import spin_models as sm
+usable = sm._usable_cpus
+sm._usable_cpus = lambda: max(2, usable())  # at least two slices on any machine
+started, thread = [], sm.threading.Thread
+sm.threading.Thread = lambda *a, **k: started.append(1) or thread(*a, **k)
+model, inputs, out = sys.argv[1:]
+v = np.load(inputs)  # the direction, then the field grid
+c = sm.level_curve(model, v[:3], np.ones(3) / np.sqrt(3.0), v[3:])
+assert started, "the sweep started no thread"
+np.save(out, np.concatenate([c.energies.ravel(), c.vectors.ravel()]))
+"""
+
+
+@pytest.mark.parametrize("model", ["nv", "p1"])
+def test_threaded_sweep_in_a_fresh_interpreter_with_default_blas_threads(
+        tmp_path, monkeypatch, model):
+    # the bench holds BLAS to one thread; a user's default leaves its own pool on
+    direction, grid = _bench_sweep(model)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    inputs, out = tmp_path / "inputs.npy", tmp_path / "sweep.npy"
+    np.save(inputs, np.concatenate([direction, grid]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_SWEEP, model, str(inputs), str(out)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 1)
+    single = sm.level_curve(model, direction, AXIS_111, grid)
+    expected = np.concatenate([single.energies.ravel(), single.vectors.ravel()])
+    assert np.load(out).tobytes() == expected.tobytes()

@@ -18,6 +18,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from spincavity import experiments as ex
+from spincavity import spin_models as sm
 from spincavity import sweep_cli as cli
 from spincavity import sweep_io as sio
 
@@ -1024,6 +1025,42 @@ def test_csv_write_and_read_memory_is_bounded_by_the_block(tmp_path):
     assert data.shape == (400 * 501, 4)
     assert write_peak < 8_000_000
     assert read_peak < data.nbytes + 4_000_000
+
+
+def test_shipped_configs_and_canonical_maps_start_no_thread(tmp_path, monkeypatch):
+    # their sweeps (57 and 105 fields) and map windows (57 and 45 fields) are
+    # far below the two slices from which eigensystem splits a stack
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(sm.threading, "Thread", no_thread)
+    for name in ("nv_10ppm_b110.ini", "p1_20ppm_b001.ini"):
+        for command in ("levels", "transitions", "map"):
+            out = str(tmp_path / f"{command}.csv")
+            assert cli.main([command, "--config", str(ROOT / "configs" / name), "--out", out]) == 0
+    assert ex.nv_anticrossing_map().values.shape == (57, 541)
+    for line in range(3):
+        assert ex.p1_anticrossing_map(line, 8.8).values.shape == (45, 481)
+
+
+def test_map_from_csv_builds_the_complex_map_in_place(tmp_path):
+    # a 400 x 501 map: the parsed (n, 4) array and the complex map, with no
+    # second complex temporary (mag * np.exp(1j * arg) peaked at 13.03 MB)
+    rng = np.random.default_rng(28)
+    columns = (np.linspace(180.0, 200.0, 400)[:, None], np.linspace(5300.0, 5500.0, 501),
+               rng.random((400, 501)), rng.uniform(-np.pi, np.pi, (400, 501)))
+    path = str(tmp_path / "map.csv")
+    sio._write_csv(path, "B_mT,f_MHz,S21_mag,S21_arg", columns)
+    tracemalloc.start()
+    try:
+        smap = sio._map_from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = sio._read_csv(path, ("B_mT", "f_MHz", "S21_mag")).reshape(400, 501, 4)
+    assert smap.values.tobytes() == (grid[:, :, 2] * np.exp(1j * grid[:, :, 3])).tobytes()
+    assert peak < grid.nbytes + smap.values.nbytes + 1_000_000
 
 
 def _read_csv_from_lines(path, expected_header):
