@@ -369,9 +369,9 @@ def level_curve(model, b_direction, axis, b_range, params=None):
         as the k-th lowest at b_range[0]
 
     The whole sweep is built as one (n, d, d) stack and diagonalized by one
-    eigensystem call (which splits a long sweep across the CPUs), in the
-    field frame: with e the sweep direction in the defect frame
-    and phi = atan2(e_y, e_x) its azimuth, the builder is given the axis z
+    eigensystem call, which splits a long sweep across the CPUs, in the
+    field frame: with e the sweep direction in the defect frame and
+    phi = atan2(e_y, e_x) its azimuth, the builder is given the axis z
     and the fields b (hypot(e_x, e_y), 0, e_z), so it returns a real
     symmetric stack and a real eigh diagonalizes it.  As H(phi) =
     V H(0) V^H with V = exp(-i phi J_z) diagonal, row k of the field-frame
