@@ -38,8 +38,8 @@ A_P1_PERP = 114.03  # MHz
 A_P1_PAR = 81.33    # MHz
 
 _UNIT_TOL = 1e-8
-# eigensystem splits a stack into slices of at least this many matrices, one
-# thread each; measured break-even in CHANGES.md
+# eigensystem starts a thread per this many matrices of a stack, up to one per
+# CPU; measured break-even in CHANGES.md
 _MIN_SLICE = 256
 
 
@@ -249,14 +249,14 @@ def eigensystem(h):
 
     A stack gives values (n, d) and vectors (n, d, d), each slice equal to
     the single-matrix result.  A stack of fewer than 2 * _MIN_SLICE matrices
-    goes to one np.linalg.eigh call.  A longer one is split into contiguous
-    slices of at least _MIN_SLICE matrices, at most one per CPU the process
-    may run on; each slice goes to np.linalg.eigh on its own thread (eigh
-    releases the GIL), the calling thread taking the first, and the results
-    are written into one preallocated pair of arrays.  An exception in any
-    slice is raised here.  The output is the same bit for bit either way.
-    A real symmetric input stays real (float64 eigenvectors); any other is
-    complex.  A non-finite entry is a ValueError.
+    goes to one np.linalg.eigh call.  A longer one is diagonalized by one
+    thread per _MIN_SLICE matrices, at most one per CPU the process may run
+    on, the calling thread among them (eigh releases the GIL).  They take
+    contiguous chunks of _MIN_SLICE // 2 matrices in turn, each chunk to one
+    np.linalg.eigh call whose results go into one preallocated pair of
+    arrays.  An exception in any chunk is raised here.  The output is the
+    same bit for bit either way.  A real symmetric input stays real (float64
+    eigenvectors); any other is complex.  A non-finite entry is a ValueError.
     """
     h = np.asarray(h)
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
@@ -270,32 +270,34 @@ def eigensystem(h):
         if not deviation <= 1e-8:
             raise ValueError("matrix is not Hermitian within tolerance" if np.isfinite(h).all()
                              else "matrix has non-finite entries")
-    parts = len(h) // _MIN_SLICE if h.ndim == 3 else 0
-    if parts >= 2:
-        parts = min(parts, _usable_cpus())
-    if parts < 2:
+    n_threads = len(h) // _MIN_SLICE if h.ndim == 3 else 0
+    if n_threads >= 2:
+        n_threads = min(n_threads, _usable_cpus())
+    if n_threads < 2:
         return EigenSystem(*np.linalg.eigh(h))
     values, vectors = np.empty(h.shape[:2]), np.empty_like(h)
-    bounds = [len(h) * k // parts for k in range(parts + 1)]
-    errors = [None] * parts
+    # chunks are handed out as the threads get to them, so a thread that
+    # starts late or runs slow takes fewer; the shared next() holds the GIL
+    chunk = _MIN_SLICE // 2
+    starts = iter(range(0, len(h), chunk))
+    errors = []
 
-    def diagonalize(k):
+    def diagonalize():
         # numpy only: bench/tracer.py keeps one span stack, the calling thread's
-        lo, hi = bounds[k], bounds[k + 1]
         try:
-            values[lo:hi], vectors[lo:hi] = np.linalg.eigh(h[lo:hi])
+            for lo in starts:
+                values[lo:lo + chunk], vectors[lo:lo + chunk] = np.linalg.eigh(h[lo:lo + chunk])
         except BaseException as exc:
-            errors[k] = exc
+            errors.append(exc)
 
-    threads = [threading.Thread(target=diagonalize, args=(k,)) for k in range(1, parts)]
+    threads = [threading.Thread(target=diagonalize) for _ in range(n_threads - 1)]
     for t in threads:
         t.start()
-    diagonalize(0)
+    diagonalize()
     for t in threads:
         t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if errors:
+        raise errors[0]
     return EigenSystem(values, vectors)
 
 

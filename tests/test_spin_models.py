@@ -1068,7 +1068,7 @@ def _threads_started(monkeypatch):
     started, thread = [], sm.threading.Thread
 
     def counted(*args, **kwargs):
-        started.append(kwargs.get("args"))
+        started.append(1)
         return thread(*args, **kwargs)
 
     monkeypatch.setattr(sm.threading, "Thread", counted)
@@ -1078,7 +1078,7 @@ def _threads_started(monkeypatch):
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("stack, n", [("nv", 1500), ("p1", 1500), ("nv", 512), ("p1", 512),
                                       ("complex", 600)])
-def test_threaded_eigensystem_equals_eigh_of_each_slice(monkeypatch, stack, n, cpus):
+def test_threaded_eigensystem_equals_eigh_of_each_chunk(monkeypatch, stack, n, cpus):
     if stack == "complex":
         # a lab-frame field off the defect frame's xz plane makes the build complex
         direction, grid = _bench_sweep("nv")
@@ -1089,16 +1089,17 @@ def test_threaded_eigensystem_equals_eigh_of_each_slice(monkeypatch, stack, n, c
         assert h.dtype == float
     monkeypatch.setattr(sm, "_usable_cpus", lambda: cpus)
     started = _threads_started(monkeypatch)
-    parts = min(cpus, n // sm._MIN_SLICE)
     eig = sm.eigensystem(h)
-    assert parts >= 2 and len(started) == parts - 1
+    assert len(started) == min(cpus, n // sm._MIN_SLICE) - 1 >= 1
     assert eig.values.dtype == float and eig.vectors.dtype == h.dtype
-    bounds = [n * k // parts for k in range(parts + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        assert hi - lo >= sm._MIN_SLICE
-        values, vectors = np.linalg.eigh(h[lo:hi])
-        assert eig.values[lo:hi].tobytes() == values.tobytes()
-        assert eig.vectors[lo:hi].tobytes() == vectors.tobytes()
+    chunk = sm._MIN_SLICE // 2
+    for lo in range(0, n, chunk):
+        values, vectors = np.linalg.eigh(h[lo:lo + chunk])
+        assert eig.values[lo:lo + chunk].tobytes() == values.tobytes()
+        assert eig.vectors[lo:lo + chunk].tobytes() == vectors.tobytes()
+    values, vectors = np.linalg.eigh(h)
+    assert eig.values.tobytes() == values.tobytes()
+    assert eig.vectors.tobytes() == vectors.tobytes()
 
 
 def test_eigensystem_below_two_slices_starts_no_thread(monkeypatch):
@@ -1139,25 +1140,25 @@ def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(monkeypatch):
     assert sm._usable_cpus() == 1
 
 
-class _SliceFailed(Exception):
+class _ChunkFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", [0, 1])
-def test_an_exception_in_a_slice_reaches_the_caller(monkeypatch, failing):
-    # slice 0 runs on the calling thread, slice 1 on a worker
+@pytest.mark.parametrize("failing_thread", ["calling", "worker"])
+def test_an_exception_in_a_chunk_reaches_the_caller(monkeypatch, failing_thread):
     h = _field_frame_stack("nv", 1500)
     monkeypatch.setattr(sm, "_usable_cpus", lambda: 2)
-    eigh, first_rows = np.linalg.eigh, [h[0], h[750]]
+    eigh = np.linalg.eigh
 
     def failing_eigh(a, *args, **kwargs):
-        if np.array_equal(a[0], first_rows[failing]):
-            raise _SliceFailed(f"slice {failing}")
+        calling = threading.current_thread() is threading.main_thread()
+        if calling == (failing_thread == "calling"):
+            raise _ChunkFailed(failing_thread)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(sm.np.linalg, "eigh", failing_eigh)
     before = threading.active_count()
-    with pytest.raises(_SliceFailed, match=f"slice {failing}"):
+    with pytest.raises(_ChunkFailed, match=failing_thread):
         sm.eigensystem(h)
     assert threading.active_count() == before
 
