@@ -84,7 +84,7 @@ def _crossings(defect, lines, omega_r):
     return cavity_qed.crossing_field(lambda b: _line_frequency(defect, b, lines), omega_r, bracket)
 
 
-def _anticrossing_map(defect, line, g_ens, linewidth):
+def _anticrossing_map(defect, line, g_ens):
     """Map of one line around its crossing with the default cavity.
 
     The field window of _SETUP[defect] is centered on the crossing of the
@@ -96,7 +96,7 @@ def _anticrossing_map(defect, line, g_ens, linewidth):
     b_grid = np.linspace(b_star - b_half, b_star + b_half, b_points)
     omega_grid = np.linspace(res.omega_r - w_half, res.omega_r + w_half, w_points)
     return spin_line_map(
-        defect, direction, AXIS_111, b_grid, omega_grid, res, linewidth, g_ens, (line,)
+        defect, direction, AXIS_111, b_grid, omega_grid, res, MAP_LINEWIDTH_MHZ, g_ens, (line,)
     )
 
 
@@ -111,9 +111,9 @@ def nv_crossing(omega_r=OMEGA_R_MHZ):
     return _crossings("nv", [0], omega_r)[0]
 
 
-def nv_anticrossing_map(g_ens=11.5, linewidth=MAP_LINEWIDTH_MHZ):
+def nv_anticrossing_map(g_ens=11.5):
     """Synthetic transmission map of the NV avoided crossing, 57 fields x 541 frequencies."""
-    return _anticrossing_map("nv", 0, g_ens, linewidth)
+    return _anticrossing_map("nv", 0, g_ens)
 
 
 def p1_transition_frequency(b_mt, line_index):
@@ -134,7 +134,7 @@ def p1_crossings(omega_r=OMEGA_R_MHZ):
 
 def p1_anticrossing_map(line_index, g_ens):
     """Synthetic map of one of the three P1 anticrossings, 45 fields x 481 frequencies."""
-    return _anticrossing_map("p1", line_index, g_ens, MAP_LINEWIDTH_MHZ)
+    return _anticrossing_map("p1", line_index, g_ens)
 
 
 # loop-gap element set: resonates near the measured frequency with the

@@ -230,10 +230,11 @@ def extract_qs(fit, insertion_loss_peak):
         raise ValueError("insertion loss peak must lie strictly between 0 and 1")
     q_l = fit.params["center"] / fit.params["fwhm"]
     q_ext = q_l / insertion_loss_peak
-    inv_int = 1.0 / q_l - 1.0 / q_ext
-    if inv_int <= 0:
-        raise ValueError("internal Q denominator not positive")
-    return {"q_loaded": q_l, "q_ext": q_ext, "q_int": 1.0 / inv_int}
+    # 1/Q_L - 1/Q_ext = (1 - peak)/Q_L has the sign of Q_L, which is tested before
+    # any 1/Q_L; a peak within rounding of 1 can still leave a zero difference
+    if not (q_l > 0 and 1.0 / q_l > 1.0 / q_ext):
+        raise FitError(f"internal Q denominator not positive: Q_L = {q_l:.6g}, Q_ext = {q_ext:.6g}")
+    return {"q_loaded": q_l, "q_ext": q_ext, "q_int": 1.0 / (1.0 / q_l - 1.0 / q_ext)}
 
 
 def _column_peaks(omega, mag):

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .scalars import DIMENSION, GAMMA_E, Record, TrackingError  # defined in the numpy-free scalars
+from .scalars import GAMMA_E, Record, TrackingError  # defined in the numpy-free scalars
 
 # NV center: S = 1 electron, I = 1 nitrogen-14 nucleus
 D_ZFS = 2877.5      # zero-field splitting, MHz
@@ -353,11 +353,10 @@ def bond_orientations():
 
 
 _BUILDERS = {"nv": build_nv_hamiltonian, "p1": build_p1_hamiltonian}
-# m_s + m_I of each product state, the diagonal of J_z = S_z + I_z
-_JZ = {
-    defect: np.add.outer(s - np.arange(2 * s + 1), [1.0, 0.0, -1.0]).ravel()
-    for defect, s in (("nv", 1.0), ("p1", 0.5))
-}
+# m_s + m_I of each product state, the diagonal of J_z = S_z + I_z; the nuclear
+# m_I = +1, 0, -1 repeat within each electron level
+_JZ = {defect: np.diagonal(ops[0][2]).real + np.resize([1.0, 0.0, -1.0], len(ops[0][2]))
+       for defect, ops in _OPERATORS.items()}
 
 
 def level_curve(model, b_direction, axis, b_range, params=None):

@@ -310,10 +310,7 @@ def cmd_budget(cfg, args):
         f"c = {sample.density_ppm:g} ppm, orientation = {sample.orientation_fraction:g}, "
         f"nuclear = {sample.nuclear_fraction:g}",
         f"# g_ens = g_single sqrt(N * filling): filling = {sample.filling_factor:g}",
-        f"brms_pt = {budget['brms_pt']:.6g}",
-        f"g_single_hz = {budget['g_single_hz']:.6g}",
-        f"n_spins = {budget['n_spins']:.6g}",
-        f"g_ens_mhz = {budget['g_ens_mhz']:.6g}",
+        *(f"{k} = {v:.6g}" for k, v in budget.items()),
     ]
     _write(args.out, ["\n".join(text) + "\n"])
     return 0
@@ -353,7 +350,7 @@ def _build_parser():
                            help="additive Gaussian noise on the synthesized |S21|, seeded "
                                 "from the config (not with fit --in)")
             p.add_argument("--threads", type=int, default=1, metavar="N",
-                           help="accepted and ignored; maps are built in one thread")
+                           help="accepted and ignored")
         p.set_defaults(func=func)
         return p
 

@@ -24,10 +24,14 @@ def _defect_axis(direction):
     return bonds[int(np.argmax(np.round(cosines, 12)))]
 
 
-def _field_setup(sample):
+def _spin_sweep(cfg, command):
+    """The sweep of the config's spin commands: the [sample] section (a missing
+    one's error names `command`), the lower-case defect key, the unit field
+    direction, the defect axis and the field grid."""
+    sample = _require(cfg, "sample", command)
     direction = np.asarray(sample.field_direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    return direction, _defect_axis(direction)
+    return sample, sample.defect.lower(), direction, _defect_axis(direction), _b_grid(cfg.sweep)
 
 
 def _b_grid(sweep):
@@ -162,21 +166,16 @@ def _csv_lines(columns):
 
 
 def cmd_levels(cfg, args):
-    sample = _require(cfg, "sample", "levels")
-    direction, axis = _field_setup(sample)
-    grid = _b_grid(cfg.sweep)
-    curves = spin_models.level_curve(sample.defect.lower(), direction, axis, grid)
+    _, defect, direction, axis, grid = _spin_sweep(cfg, "levels")
+    curves = spin_models.level_curve(defect, direction, axis, grid)
     header = "B_mT," + ",".join(f"E{k}_MHz" for k in range(curves.energies.shape[1]))
     _write_csv(args.out, header, (grid, *curves.energies.T))
     return 0
 
 
 def cmd_transitions(cfg, args):
-    sample = _require(cfg, "sample", "transitions")
-    direction, axis = _field_setup(sample)
-    grid = _b_grid(cfg.sweep)
-    build = spin_models._BUILDERS[sample.defect.lower()]
-    eig = spin_models.eigensystem(build(grid[:, None] * direction, axis))
+    sample, defect, direction, axis, grid = _spin_sweep(cfg, "transitions")
+    eig = spin_models.eigensystem(spin_models._BUILDERS[defect](grid[:, None] * direction, axis))
     index, *columns = spin_models.transition_spectrum(eig, initial_levels=sample.initial_levels)
     _write_csv(args.out, "B_mT,f_MHz,weight,from_level,to_level", (grid[index], *columns))
     return 0
@@ -187,12 +186,11 @@ def _synthesize_map(cfg, noise, threads=None, command="map"):
 
     A missing section's error names `command`, the command that runs.
     """
-    sample = _require(cfg, "sample", command)
+    sample, defect, direction, axis, grid = _spin_sweep(cfg, command)
     res = _require(cfg, "resonator", command)
     res_mode = _resonator_mode(res)
-    direction, axis = _field_setup(sample)
     smap = experiments.spin_line_map(
-        sample.defect, direction, axis, _b_grid(cfg.sweep), _omega_grid(cfg.sweep), res_mode,
+        defect, direction, axis, grid, _omega_grid(cfg.sweep), res_mode,
         sample.linewidth_mhz, _line_coupling(sample, res_mode, res.mode_volume_mm3),
     )
     if noise:
@@ -332,11 +330,10 @@ def _synthesize_trace(cfg, noise):
     res = _require(cfg, "resonator", "fit")
     if res.circuit is not None:
         grid, s21 = experiments.loop_gap_trace(res.circuit)
-        mag = np.abs(s21)
     else:
-        res_mode = _resonator_mode(res)
         grid = _omega_grid(cfg.sweep)
-        mag = np.abs(cavity_qed.s21_spectrum(grid, res_mode, []))
+        s21 = cavity_qed.s21_spectrum(grid, _resonator_mode(res), [])
+    mag = np.abs(s21)
     if noise:
         mag = experiments.noisy_magnitude(mag, noise, cfg.sweep.seed)
     return fitting.Spectrum1D(grid, mag)
@@ -385,9 +382,7 @@ def cmd_circuit(cfg, args):
     grid, s21 = experiments.loop_gap_trace(res.circuit)
     _write_csv(args.out, "f_MHz,S21_mag,S21_arg", (grid, np.abs(s21), np.angle(s21)))
     if args.out is not None and res.circuit.cx == 0:
-        f0, q_int, q_e1, q_e2 = circuit_model.q_decomposition(res.circuit)
-        sys.stdout.write(
-            f"omega_0_mhz = {f0:.8g}\nq_int = {q_int:.8g}\n"
-            f"q_ext1 = {q_e1:.8g}\nq_ext2 = {q_e2:.8g}\n"
-        )
+        qs = circuit_model.q_decomposition(res.circuit)
+        names = ("omega_0_mhz", "q_int", "q_ext1", "q_ext2")
+        sys.stdout.write("".join(f"{k} = {v:.8g}\n" for k, v in zip(names, qs)))
     return 0

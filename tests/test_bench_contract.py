@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spincavity import cavity_qed, experiments, fitting, spin_models, sweep_cli
+from spincavity import cavity_qed, experiments, fitting, scalars, spin_models, sweep_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -63,7 +63,7 @@ def test_a_sweep_builds_and_diagonalizes_once(monkeypatch, model):
     monkeypatch.setitem(spin_models._BUILDERS, model, counted_build)
     monkeypatch.setattr(spin_models, "eigensystem", counted_eigensystem)
     spin_models.level_curve(model, [0.3, -0.2, 1.0], experiments.AXIS_111, grid)
-    dim = spin_models.DIMENSION[model]
+    dim = scalars.DIMENSION[model]
     assert builds == [(200, 3)]
     assert diagonalized == [(200, dim, dim)]
 

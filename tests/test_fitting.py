@@ -260,6 +260,18 @@ def test_extract_qs_arithmetic():
         ft.extract_qs(flipped, 0.5)
 
 
+@pytest.mark.parametrize("center, fwhm, peak", [
+    (-5390.0, 2.695, 0.5), (-0.0, 2.695, 0.5), (0.0, 2.695, 0.5),
+    (1002.0, 1.0, 1.0 - 2.0**-53),  # Q_ext = Q_L / peak rounds to where 1/Q_ext == 1/Q_L
+])
+def test_extract_qs_rejects_a_denominator_not_above_zero_as_a_fit_error(center, fwhm, peak):
+    # a fitted centre at or below 0 MHz gives Q_L <= 0, which the CLI reports as
+    # a fit error; a centre of exactly 0 used to return nan Qs with warnings
+    fit = ft.FitResult({"center": np.float64(center), "fwhm": np.float64(fwhm)}, 0.0, True, 1)
+    with pytest.raises(ft.FitError, match="internal Q denominator not positive"):
+        ft.extract_qs(fit, peak)
+
+
 def test_extract_qs_round_trip_from_synthetic_trace():
     for q_ext in (3500.0, 85000.0):
         q_l = 1.0 / (1.0 / 1300.0 + 1.0 / q_ext)

@@ -871,7 +871,7 @@ def test_levels_csv_matches_the_per_row_text(tmp_path, monkeypatch, name, block)
     if block is not None:
         monkeypatch.setattr(sio, "_BLOCK", block)
     cfgp, cfg = _shipped(name)
-    direction, axis = sio._field_setup(cfg.sample)
+    _, _, direction, axis, _ = sio._spin_sweep(cfg, "levels")
     grid = sio._b_grid(cfg.sweep)
     curves = sio.spin_models.level_curve(cfg.sample.defect.lower(), direction, axis, grid)
     header = "B_mT," + ",".join(f"E{k}_MHz" for k in range(curves.energies.shape[1]))
@@ -892,7 +892,7 @@ def test_transitions_csv_matches_the_per_field_lines(tmp_path, name, levels):
         cfgp = write(tmp_path, name, text)
         cfg = cli.parse_config(text)
     sample = cfg.sample
-    direction, axis = sio._field_setup(sample)
+    _, _, direction, axis, _ = sio._spin_sweep(cfg, "transitions")
     grid = sio._b_grid(cfg.sweep)
     sm = sio.spin_models
     eig = sm.eigensystem(sm._BUILDERS[sample.defect.lower()](grid[:, None] * direction, axis))
@@ -1305,6 +1305,33 @@ def test_fit_with_a_model_not_finite_at_the_start_exits_3(tmp_path, capsys, kind
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "fit error: model is not finite at the start values\n"
+
+
+def _trace_centred_below_zero():
+    """A Lorentzian trace over -60..40 MHz centred at -10 MHz: its loaded Q is negative."""
+    grid = np.linspace(-60.0, 40.0, 1001)
+    mag = sio.fitting.lorentzian_model(grid, -10.0, 4.0, 0.4, 0.05)
+    return "f_MHz,S21_mag\n" + "".join(f"{f:.10g},{m:.10g}\n" for f, m in zip(grid, mag))
+
+
+@pytest.mark.parametrize("source", ["in_csv", "tiny_r_ohm"])
+def test_fit_lorentzian_centred_at_or_below_zero_exits_3(tmp_path, capsys, source):
+    # used to end in a ValueError traceback from extract_qs, exit 1; with
+    # r_ohm = 1e-6 the loop-gap trace spans +-3.7e11 MHz and the fit centres below 0
+    loop_gap = (ROOT / "configs" / "loop_gap.ini").read_text()
+    argv = ["fit", "--kind", "lorentzian"]
+    if source == "in_csv":
+        trace = write(tmp_path, "trace.csv", _trace_centred_below_zero())
+        argv += ["--config", write(tmp_path, "cfg.ini", loop_gap), "--in", trace]
+    else:
+        tiny_r = loop_gap.replace("r_ohm = 11010", "r_ohm = 1e-6")
+        assert tiny_r != loop_gap
+        argv += ["--config", write(tmp_path, "cfg.ini", tiny_r)]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fit error: internal Q denominator not positive: Q_L = ")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- circuit
