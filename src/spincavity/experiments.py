@@ -10,7 +10,7 @@ the measured quality factors.
 
 import numpy as np
 
-from . import cavity_qed, circuit_model, fitting, spin_models
+from . import cavity_qed, circuit_model, fitting, scalars, spin_models
 # the scalar setup, defined in the numpy-free scalars
 from .scalars import OMEGA_R_MHZ, Q_EXT_MIN, SAMPLE1_VOLUME_MM3, coupling_budget, resonator_mode
 
@@ -167,11 +167,12 @@ def cc_for_qext(q_ext_combined):
 
 
 def loop_gap_trace(elems):
-    """(frequency grid MHz, complex S21), 1601 points over 16 loaded linewidths
-    around the circuit resonance."""
+    """(frequency grid MHz, complex S21), 1601 points over TRACE_LINEWIDTHS
+    loaded linewidths on either side of the circuit resonance."""
     f0, q_int, q_e1, q_e2 = circuit_model.q_decomposition(elems.replace(cx=0.0))
-    width = f0 * (1.0 / q_int + 1.0 / q_e1 + 1.0 / q_e2)  # an uncoupled port adds 1/inf = 0
-    grid = np.linspace(f0 - 8.0 * width, f0 + 8.0 * width, 1601)
+    # an uncoupled port adds 1/inf = 0 to the linewidth
+    span = scalars.TRACE_LINEWIDTHS * (f0 * (1.0 / q_int + 1.0 / q_e1 + 1.0 / q_e2))
+    grid = np.linspace(f0 - span, f0 + span, 1601)
     return grid, circuit_model.loop_gap_s21(grid, elems)
 
 

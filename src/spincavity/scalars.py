@@ -35,6 +35,8 @@ SAMPLE1_NV_PPM = 10.0
 SAMPLE1_P1_PPM = 20.0
 
 DEFAULT_TRANSITION_WEIGHT = 0.5  # idealized two-level drive matrix element
+# loaded linewidths a circuit trace spans on either side of its resonance
+TRACE_LINEWIDTHS = 8.0
 
 
 class ConfigError(Exception):

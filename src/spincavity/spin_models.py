@@ -248,45 +248,46 @@ def eigensystem(h):
     """Diagonalize a Hermitian matrix, or an (n, d, d) stack; eigenvalues ascending.
 
     A stack gives values (n, d) and vectors (n, d, d), each slice equal to
-    the single-matrix result.  A stack of fewer than 2 * _MIN_SLICE matrices
-    goes to one np.linalg.eigh call.  A longer one is diagonalized by one
-    thread per _MIN_SLICE matrices, at most one per CPU the process may run
-    on, the calling thread among them (eigh releases the GIL).  They take
-    contiguous chunks of _MIN_SLICE // 2 matrices in turn, each chunk to one
-    np.linalg.eigh call whose results go into one preallocated pair of
-    arrays.  An exception in any chunk is raised here.  The output is the
-    same bit for bit either way.  A real symmetric input stays real (float64
-    eigenvectors); any other is complex.  A non-finite entry is a ValueError.
+    the single-matrix result; a single matrix is diagonalized as a stack of
+    one.  A stack of fewer than 2 * _MIN_SLICE matrices is one chunk, one
+    np.linalg.eigh call on the calling thread.  A longer one is diagonalized
+    by one thread per _MIN_SLICE matrices, at most one per CPU the process
+    may run on, the calling thread among them (eigh releases the GIL).  They
+    take contiguous chunks of _MIN_SLICE // 2 matrices in turn.  Each chunk
+    is checked for Hermiticity and finite entries, a ValueError, just before
+    its one eigh call, whose results go into one preallocated pair of
+    arrays.  An exception in any chunk is raised here, after every thread
+    has ended.  The output is the same bit for bit either way.  A real
+    symmetric input stays real (float64 eigenvectors); any other is complex.
     """
     h = np.asarray(h)
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
-    if h.size:
-        # h.conj() of a real h is h itself, not a copy; a nan or inf entry
-        # makes the deviation nan or inf, so the one pass checks finiteness too
-        with np.errstate(invalid="ignore", over="ignore"):
-            deviation = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))
-        if not deviation <= 1e-8:
-            raise ValueError("matrix is not Hermitian within tolerance" if np.isfinite(h).all()
-                             else "matrix has non-finite entries")
-    n_threads = len(h) // _MIN_SLICE if h.ndim == 3 else 0
-    if n_threads >= 2:
-        n_threads = min(n_threads, _usable_cpus())
-    if n_threads < 2:
-        return EigenSystem(*np.linalg.eigh(h))
-    values, vectors = np.empty(h.shape[:2]), np.empty_like(h)
+    # h[None], not a reshape: a reshape to (-1, 0, 0) cannot infer its length
+    stack = h if h.ndim == 3 else h[None]
+    n_threads = min(len(stack) // _MIN_SLICE, _usable_cpus())
+    # a stack that stays on this thread is one chunk; an empty one still needs a step
+    chunk = _MIN_SLICE // 2 if n_threads >= 2 else max(len(stack), 1)
+    values, vectors = np.empty(stack.shape[:2]), np.empty_like(stack)
     # chunks are handed out as the threads get to them, so a thread that
     # starts late or runs slow takes fewer; the shared next() holds the GIL
-    chunk = _MIN_SLICE // 2
-    starts = iter(range(0, len(h), chunk))
+    starts = iter(range(0, len(stack), chunk))
     errors = []
 
     def diagonalize():
         # numpy only: bench/tracer.py keeps one span stack, the calling thread's
         try:
             for lo in starts:
-                values[lo:lo + chunk], vectors[lo:lo + chunk] = np.linalg.eigh(h[lo:lo + chunk])
+                sub = stack[lo:lo + chunk]
+                # sub.conj() of a real sub is sub itself, not a copy; a nan or
+                # inf entry makes the deviation nan or inf, which fails the test
+                with np.errstate(invalid="ignore", over="ignore"):
+                    deviation = np.max(np.abs(sub - sub.conj().swapaxes(1, 2)), initial=0.0)
+                if not deviation <= 1e-8:
+                    raise ValueError("matrix is not Hermitian within tolerance"
+                                     if np.isfinite(sub).all() else "matrix has non-finite entries")
+                values[lo:lo + chunk], vectors[lo:lo + chunk] = np.linalg.eigh(sub)
         except BaseException as exc:
             errors.append(exc)
 
@@ -298,7 +299,7 @@ def eigensystem(h):
         t.join()
     if errors:
         raise errors[0]
-    return EigenSystem(values, vectors)
+    return EigenSystem(values.reshape(h.shape[:-1]), vectors.reshape(h.shape))
 
 
 def _usable_cpus():

@@ -181,6 +181,12 @@ def _parse_circuit(values):
         raise ConfigError(
             "circuit elements in [resonator] have no loss: Q_int and both Q_ext are inf"
         )
+    # the low end of loop_gap_trace's grid, formed as there, must stay above
+    # 0 MHz; a Q that underflows to 0 makes the linewidth inf
+    width = f0 * sum(1.0 / q if q else math.inf for q in qs)
+    if f0 - scalars.TRACE_LINEWIDTHS * width <= 0.0:
+        raise ConfigError(f"circuit elements in [resonator] have loaded Q {f0 / width:.6g}, "
+                          f"not above {scalars.TRACE_LINEWIDTHS:g}: their trace would reach 0 MHz")
     return circuit
 
 

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from . import cavity_qed, circuit_model, experiments, fitting, spin_models
-from .scalars import ConfigError, CsvError
+from .scalars import ConfigError, CsvError, FitError
 from .sweep_cli import _line_coupling, _require, _resonator_mode, _write
 
 
@@ -358,11 +358,12 @@ def cmd_fit(cfg, args):
     p = result.params
     report = {k + _UNITS.get(k, ""): v for k, v in p.items()}
     if args.kind == "lorentzian":
-        report["q_loaded"] = p["center"] / p["fwhm"]
+        report["q_loaded"] = q_l = p["center"] / p["fwhm"]
         peak = p["amplitude"] + p["baseline"]
-        if 0.0 < peak < 1.0:
-            qs = fitting.extract_qs(result, peak)
-            report["q_ext"], report["q_int"] = qs["q_ext"], qs["q_int"]
+        if 0.0 < peak < 1.0:  # extract_qs tests Q_L and gives it again, with Q_ext and Q_int
+            report.update(fitting.extract_qs(result, peak))
+        elif not q_l > 0:
+            raise FitError(f"loaded Q not positive: Q_L = {q_l:.6g}")
     text = [
         f"# {args.kind.replace('_', '-')} fit",
         f"# residual rms {result.residual_rms:.3e}, {result.iterations} iterations",

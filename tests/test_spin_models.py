@@ -1163,6 +1163,66 @@ def test_an_exception_in_a_chunk_reaches_the_caller(monkeypatch, failing_thread)
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("fault, reason", [("asymmetric", "not Hermitian"), ("nan", "non-finite")])
+def test_a_bad_matrix_in_a_threaded_chunk_is_a_value_error(monkeypatch, where, fault, reason):
+    # each chunk checks itself just before its eigh, so the threads have started
+    h = _field_frame_stack("nv", 1500)
+    k = 0 if where == "first" else len(h) - 1
+    if fault == "nan":
+        h[k, 4, 4] = np.nan
+    else:
+        h[k, 0, 1] += 1e-6
+    before_h = h.copy()
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 2)
+    started = _threads_started(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=reason):
+        sm.eigensystem(h)
+    assert threading.active_count() == before and len(started) == 1
+    assert h.tobytes() == before_h.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 0), (0, 3, 3), (0, 0)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigensystem_of_an_empty_stack_keeps_its_shapes(shape, dtype):
+    eig = sm.eigensystem(np.zeros(shape, dtype))
+    assert eig.values.shape == shape[:-1] and eig.values.dtype == float
+    assert eig.vectors.shape == shape and eig.vectors.dtype == dtype
+
+
+@pytest.mark.parametrize("n", [1, 57, 2 * sm._MIN_SLICE - 1])
+def test_a_stack_under_two_slices_is_one_eigh_call(monkeypatch, n):
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(sm.np.linalg, "eigh", counted)
+    h = _field_frame_stack("nv", n)
+    sm.eigensystem(h)
+    assert calls == [h.shape]
+    calls.clear()
+    sm.eigensystem(h[0])  # one matrix is a stack of one
+    assert calls == [(1,) + h.shape[1:]]
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 9, 17, 40])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_one_matrix_gives_its_own_eigh_bit_for_bit(d, dtype):
+    rng = np.random.default_rng([d, dtype is complex])
+    for _ in range(5):
+        a = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if dtype is complex else 0.0)
+        h = (a + a.conj().T) / 2
+        values, vectors = np.linalg.eigh(h)
+        eig = sm.eigensystem(h)
+        assert eig.values.shape == (d,) and eig.vectors.shape == (d, d)
+        assert eig.values.tobytes() == values.tobytes()
+        assert eig.vectors.tobytes() == vectors.tobytes()
+
+
 @pytest.mark.parametrize("model", ["nv", "p1"])
 def test_threaded_level_curve_equals_the_one_thread_sweep(monkeypatch, model):
     direction, grid = _bench_sweep(model)

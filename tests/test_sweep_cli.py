@@ -226,6 +226,22 @@ LOSSLESS_REASON = "circuit elements in [resonator] have no loss: Q_int and both 
     # and circuit wrote 1601 rows of zero transmission with exit 0
     *(pytest.param([c], NV_MINIMAL + LOSSLESS_CIRCUIT, LOSSLESS_REASON, id=f"{c}-lossless")
       for c in ("budget", "map", "fit", "circuit")),
+    # a trace of +-8 loaded linewidths reaches 0 MHz: with r_ohm = 1e-6 it spanned
+    # +-3.7e11 MHz, and a Lorentzian fit of it centred below 0 (exit 3, before)
+    pytest.param(["fit", "--kind", "lorentzian"],
+                 (ROOT / "configs" / "loop_gap.ini").read_text().replace("r_ohm = 11010",
+                                                                         "r_ohm = 1e-6"),
+                 "circuit elements in [resonator] have loaded Q 1.18068e-07, not above 8: "
+                 "their trace would reach 0 MHz", id="fit-lorentzian-tiny-r-ohm"),
+    *(pytest.param([c], NV_MINIMAL + CIRCUIT_ONLY.replace("r_ohm = 11010", "r_ohm = 67"),
+                   "circuit elements in [resonator] have loaded Q 7.90446, not above 8: "
+                   "their trace would reach 0 MHz", id=f"{c}-q-loaded-below-8")
+      for c in ("budget", "map", "circuit")),
+    # Q_int underflows to 0 (the trace's width divided by it: a traceback, before)
+    pytest.param(["circuit"], CIRCUIT_ONLY.replace("r_ohm = 11010", "r_ohm = 5e-324"),
+                 "circuit elements in [resonator] have loaded Q 0, not above 8: "
+                 "their trace would reach 0 MHz",
+                 id="circuit-q-int-underflows"),
     # fit synthesizes its map as map does, and used to name 'map' here
     pytest.param(["fit"], NV_MINIMAL, "command 'fit' needs a [resonator] section in the config",
                  id="fit-without-resonator"),
@@ -1314,24 +1330,57 @@ def _trace_centred_below_zero():
     return "f_MHz,S21_mag\n" + "".join(f"{f:.10g},{m:.10g}\n" for f, m in zip(grid, mag))
 
 
-@pytest.mark.parametrize("source", ["in_csv", "tiny_r_ohm"])
+@pytest.mark.parametrize("source", ["in_csv"])
 def test_fit_lorentzian_centred_at_or_below_zero_exits_3(tmp_path, capsys, source):
-    # used to end in a ValueError traceback from extract_qs, exit 1; with
-    # r_ohm = 1e-6 the loop-gap trace spans +-3.7e11 MHz and the fit centres below 0
+    # used to end in a ValueError traceback from extract_qs, exit 1
     loop_gap = (ROOT / "configs" / "loop_gap.ini").read_text()
     argv = ["fit", "--kind", "lorentzian"]
-    if source == "in_csv":
-        trace = write(tmp_path, "trace.csv", _trace_centred_below_zero())
-        argv += ["--config", write(tmp_path, "cfg.ini", loop_gap), "--in", trace]
-    else:
-        tiny_r = loop_gap.replace("r_ohm = 11010", "r_ohm = 1e-6")
-        assert tiny_r != loop_gap
-        argv += ["--config", write(tmp_path, "cfg.ini", tiny_r)]
+    trace = write(tmp_path, "trace.csv", _trace_centred_below_zero())
+    argv += ["--config", write(tmp_path, "cfg.ini", loop_gap), "--in", trace]
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("fit error: internal Q denominator not positive: Q_L = ")
     assert captured.err.count("\n") == 1
+
+
+def test_fit_lorentzian_with_a_peak_of_1_or_more_and_a_loaded_q_below_0_exits_3(tmp_path, capsys):
+    # a peak transmission of 1 or more skips extract_qs, whose Q_L test it used
+    # to miss: the report said q_loaded = -2.5 and converged = true, exit 0
+    grid = np.linspace(-60.0, 40.0, 1001)
+    mag = sio.fitting.lorentzian_model(grid, -10.0, 4.0, 1.4, 0.05)
+    trace = write(tmp_path, "trace.csv", "f_MHz,S21_mag\n"
+                  + "".join(f"{f:.10g},{m:.10g}\n" for f, m in zip(grid, mag)))
+    cfgp = str(ROOT / "configs" / "loop_gap.ini")
+    out = tmp_path / "report.txt"
+    argv = ["fit", "--kind", "lorentzian", "--config", cfgp, "--in", trace]
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert not out.exists()
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fit error: loaded Q not positive: Q_L = -2.5\n" * 2
+
+
+@pytest.mark.parametrize("r_ohm, exit_code", [(68.5, 0), (67.0, 2), (1e-6, 2)])
+def test_circuit_trace_stays_above_0_mhz_or_the_config_exits_2(tmp_path, capsys, r_ohm, exit_code):
+    # loop_gap_trace spans 8 loaded linewidths on either side of f0, so it
+    # reaches 0 MHz once Q_L <= 8; r_ohm = 68.5 gives Q_L just above 8
+    text = CIRCUIT_ONLY.replace("r_ohm = 11010", f"r_ohm = {r_ohm!r}")
+    f0, *qs = cli.scalars.q_decomposition(cli.scalars.CircuitElements(0.25, 3.465, r_ohm))
+    q_loaded = 1.0 / sum(1.0 / q for q in qs)
+    assert (q_loaded > 8.0) == (exit_code == 0) and q_loaded < 8.1
+    out = tmp_path / "trace.csv"
+    assert cli.main(["circuit", "--config", write(tmp_path, "c.ini", text),
+                     "--out", str(out)]) == exit_code
+    captured = capsys.readouterr()
+    if exit_code:
+        assert not out.exists() and captured.out == ""
+        assert captured.err == (f"config error: circuit elements in [resonator] have loaded Q "
+                                f"{q_loaded:.6g}, not above 8: their trace would reach 0 MHz\n")
+    else:
+        f = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+        assert len(f) == 1601 and 0.0 < f[0] < 0.02 * f0 and f[-1] < 2.0 * f0
 
 
 # ---------------------------------------------------------------- circuit
